@@ -1,12 +1,12 @@
 // Package bench implements the experiment harness: one function per
-// experiment (X1-X13), each regenerating the corresponding table. The
-// paper (ICDE 2006) has no empirical tables — its evaluation is
+// experiment (X1-X7 and X9-X15), each regenerating the corresponding
+// table. The paper (ICDE 2006) has no empirical tables — its evaluation is
 // analytical — so X1-X6 measure the paper's complexity claims: linearity
 // in document size (Theorem 4), the impracticality of generic Earley
 // parsing on G' (Section 3.3), the k^D depth factor for PV-strong
 // recursive DTDs, and the O(1) incremental update checks (Theorem 2,
-// Proposition 3). X7-X13 measure the service layer: checking throughput
-// vs workers, the zero-copy byte path, completion throughput vs workers,
+// Proposition 3). X7 and X9-X13 measure the service layer: checking
+// throughput vs workers, completion throughput vs workers,
 // the sharded two-tier schema store (lock-stripe scaling + disk-cache
 // cold start), the async job-queue ingest (submit latency + job
 // throughput vs the synchronous batch), the job write-ahead log
@@ -467,83 +467,6 @@ func Throughput(workerCounts []int, corpusSize int, budget time.Duration) *Table
 			fmt.Sprintf("%.0f", dps), fmt.Sprintf("%.2f", mbps),
 			fmt.Sprintf("%.2fx", dps/base),
 		})
-	}
-	return t
-}
-
-// BytePath is experiment X8 (the zero-copy ingest refactor): CheckBatch
-// over the same mixed corpus submitted on the string path versus the
-// []byte path, in both verdict modes, measuring throughput and
-// allocations per document. The acceptance bar for the refactor is >=30%
-// fewer allocs/op on the byte path; the pvonly mode shows the pure
-// streaming-checker delta (no tree parse on either side).
-func BytePath(corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(8))
-	strDocs := make([]engine.Doc, corpusSize)
-	byteDocs := make([]engine.Doc, corpusSize)
-	var corpusBytes int64
-	for i := range strDocs {
-		doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 3})
-		switch i % 3 {
-		case 1:
-			gen.Strip(rng, doc, 0.3)
-		case 2:
-			gen.Corrupt(rng, d, doc)
-		}
-		src := doc.String()
-		strDocs[i] = engine.Doc{ID: fmt.Sprint(i), Content: src}
-		byteDocs[i] = engine.Doc{ID: fmt.Sprint(i), Bytes: []byte(src)}
-		corpusBytes += int64(len(src))
-	}
-	t := &Table{
-		Name:    "bytepath",
-		Caption: "X8 / zero-copy ingest — string vs []byte CheckBatch (mixed play corpus)",
-		Header:  []string{"mode", "path", "corpus_docs", "docs_per_sec", "mb_per_sec", "allocs_per_doc", "alloc_reduction"},
-	}
-	for _, mode := range []struct {
-		name   string
-		pvOnly bool
-	}{{"full", false}, {"pvonly", true}} {
-		var base float64
-		for _, path := range []struct {
-			name string
-			docs []engine.Doc
-		}{{"string", strDocs}, {"bytes", byteDocs}} {
-			e := engine.New(engine.Config{Workers: 4, PVOnly: mode.pvOnly})
-			s, err := e.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-			if err != nil {
-				panic(err)
-			}
-			e.CheckBatch(s, path.docs) // warm pools
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			batches := 0
-			start := time.Now()
-			for time.Since(start) < budget || batches == 0 {
-				if _, stats := e.CheckBatch(s, path.docs); stats.Docs != corpusSize {
-					panic("missing results")
-				}
-				batches++
-			}
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			allocsPerDoc := float64(ms1.Mallocs-ms0.Mallocs) / float64(batches*corpusSize)
-			reduction := "baseline"
-			if base == 0 {
-				base = allocsPerDoc
-			} else {
-				reduction = fmt.Sprintf("-%.0f%%", 100*(1-allocsPerDoc/base))
-			}
-			t.Rows = append(t.Rows, []string{
-				mode.name, path.name, fmt.Sprint(corpusSize),
-				fmt.Sprintf("%.0f", float64(batches*corpusSize)/elapsed.Seconds()),
-				fmt.Sprintf("%.2f", float64(batches)*float64(corpusBytes)/(1<<20)/elapsed.Seconds()),
-				fmt.Sprintf("%.0f", allocsPerDoc),
-				reduction,
-			})
-		}
 	}
 	return t
 }
@@ -1331,7 +1254,6 @@ func All(quick bool) []*Table {
 		UpdateCosts(updSizes, budget),
 		StripClosure(fracs, trials, budget),
 		Throughput(workerCounts, corpus, tputBudget),
-		BytePath(corpus, tputBudget),
 		CompletionThroughput(workerCounts, corpus, tputBudget),
 		SchemaStore([]int{1, 2, 4, 8}, schemaCount, corpus, tputBudget),
 		AsyncIngest(workerCounts, corpus, tputBudget),

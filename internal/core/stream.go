@@ -89,8 +89,10 @@ type StreamChecker struct {
 	// scratch) popped by EndElement, so a pooled checker's steady state
 	// creates no recognizer state at all for repeated element kinds.
 	free []*Recognizer
-	// clx is the reader-path chunked lexer, created on first RunReader and
-	// reused (with its sliding window) across documents by pooled checkers.
+	// lx lexes in-memory documents and clx, created on first RunReader,
+	// streams io.Readers through its sliding window; pooled checkers reuse
+	// both across documents.
+	lx  xmltext.ByteLexer
 	clx *xmltext.ChunkedLexer
 }
 
@@ -161,23 +163,10 @@ func (c *StreamChecker) violate(format string, args ...any) error {
 	return c.err
 }
 
-// streamText constrains the two document representations the checker
-// accepts: the string compatibility path and the zero-copy byte path. The
-// generic handlers below are the single source of truth for both; the
-// exported methods are thin instantiations, so the paths cannot diverge.
-type streamText interface{ ~string | ~[]byte }
-
-// StartElement processes a start tag.
-func (c *StreamChecker) StartElement(name string) error { return startElement(c, name) }
-
-// StartElementBytes is StartElement on the zero-copy byte path: the name
-// is resolved through the schema's interned-name table without
-// materializing a string (undeclared names only surface inside the
-// violation message). Verdicts and messages are identical to
-// StartElement(string(name)).
-func (c *StreamChecker) StartElementBytes(name []byte) error { return startElement(c, name) }
-
-func startElement[S streamText](c *StreamChecker, name S) error {
+// StartElement processes a start tag. The name is resolved through the
+// schema's interned-name table without materializing a string (undeclared
+// names only surface inside the violation message).
+func (c *StreamChecker) StartElement(name []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -277,14 +266,9 @@ func (c *StreamChecker) newRecognizer(name string) *Recognizer {
 }
 
 // Text processes a character-data event. Empty and (optionally) whitespace
-// text is invisible; adjacent text events collapse into one σ.
-func (c *StreamChecker) Text(data string) error { return text(c, data) }
-
-// TextBytes is Text on the byte path; the data is only inspected, never
-// retained or converted.
-func (c *StreamChecker) TextBytes(data []byte) error { return text(c, data) }
-
-func text[S streamText](c *StreamChecker, data S) error {
+// text is invisible; adjacent text events collapse into one σ. The data is
+// only inspected, never retained or converted.
+func (c *StreamChecker) Text(data []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -315,14 +299,9 @@ func text[S streamText](c *StreamChecker, data S) error {
 	return nil
 }
 
-// EndElement processes an end tag.
-func (c *StreamChecker) EndElement(name string) error { return endElement(c, name) }
-
-// EndElementBytes is EndElement on the byte path; the open-tag comparison
-// is an allocation-free string/byte equality check.
-func (c *StreamChecker) EndElementBytes(name []byte) error { return endElement(c, name) }
-
-func endElement[S streamText](c *StreamChecker, name S) error {
+// EndElement processes an end tag; the open-tag comparison is an
+// allocation-free string/byte equality check.
+func (c *StreamChecker) EndElement(name []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -370,80 +349,34 @@ func (c *StreamChecker) Close() error {
 	return nil
 }
 
-// CheckStream tokenizes src and runs the streaming check over it — a
-// single-pass Problem PV solver for strings.
-func (s *Schema) CheckStream(src string) error { return s.NewStreamChecker().Run(src) }
+// CheckStream runs the streaming check over a string document: a
+// single-pass Problem PV solver, reading src in place through
+// xmltext.View.
+func (s *Schema) CheckStream(src string) error { return s.CheckStreamBytes(xmltext.View(src)) }
 
-// CheckStreamBytes is CheckStream on the zero-copy byte path: the document
-// is never copied into a string, token names and data are subslices, and
-// element names resolve through the interned-name table. Verdicts are
-// identical to CheckStream(string(src)).
+// CheckStreamBytes runs the streaming check over a byte document: token
+// names and data are subslices of src, and element names resolve through
+// the interned-name table.
 func (s *Schema) CheckStreamBytes(src []byte) error { return s.NewStreamChecker().RunBytes(src) }
 
-// Run resets the checker and drives it over src in one pass. It returns nil
-// when the document is potentially valid, a *ViolationError when it is
-// well-formed but not potentially valid, and a plain error for lexical or
-// well-formedness problems.
-func (c *StreamChecker) Run(src string) error {
-	c.Reset()
-	lx := xmltext.NewLexer(src)
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return err
-		}
-		if tok == nil {
-			return c.Close()
-		}
-		switch tok.Kind {
-		case xmltext.StartTag:
-			if err := c.StartElement(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.EndTag:
-			if err := c.EndElement(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.Text:
-			if err := c.Text(tok.Data); err != nil {
-				return err
-			}
-		}
-	}
-}
+// Run is RunBytes over a string document, read in place through
+// xmltext.View.
+func (c *StreamChecker) Run(src string) error { return c.RunBytes(xmltext.View(src)) }
 
-// RunBytes is Run on the zero-copy byte path. The lexer state lives on the
-// checker's stack frame and tokens are consumed in place, so a potentially
-// valid entity-free document is checked with no per-token allocation.
+// RunBytes resets the checker and drives it over src in one pass. It
+// returns nil when the document is potentially valid, a *ViolationError
+// when it is well-formed but not potentially valid, and a plain error for
+// lexical or well-formedness problems. The lexer lives on the checker and
+// tokens are consumed in place, so a pooled checker checks a potentially
+// valid entity-free document with no allocation.
 func (c *StreamChecker) RunBytes(src []byte) error {
-	c.Reset()
-	lx := xmltext.NewByteLexer(src)
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return err
-		}
-		if tok == nil {
-			return c.Close()
-		}
-		switch tok.Kind {
-		case xmltext.StartTag:
-			if err := c.StartElementBytes(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.EndTag:
-			if err := c.EndElementBytes(tok.Name); err != nil {
-				return err
-			}
-		case xmltext.Text:
-			if err := c.TextBytes(tok.Data); err != nil {
-				return err
-			}
-		}
-	}
+	c.lx.Reset(src)
+	err := c.run(&c.lx)
+	c.lx.Reset(nil) // a pooled checker must not pin the document
+	return err
 }
 
-// RunReader is Run over an io.Reader: the document is lexed through a
+// RunReader is RunBytes over an io.Reader: the document is lexed through a
 // sliding window (xmltext.ChunkedLexer) and never held in memory, so peak
 // usage is O(element depth + buffered child symbols on the open path +
 // window), independent of document size — the external-memory streaming
@@ -459,14 +392,27 @@ func (c *StreamChecker) RunReader(r io.Reader) error {
 // checker across runs; a run asking for a larger window than the retained
 // one re-allocates it once.
 func (c *StreamChecker) RunReaderBuffer(r io.Reader, bufSize int) error {
-	c.Reset()
 	if c.clx == nil || (bufSize > 0 && c.clx.BufSize() < bufSize) {
 		c.clx = xmltext.NewChunkedLexer(r, bufSize)
 	} else {
 		c.clx.Reset(r)
 	}
+	err := c.run(c.clx)
+	c.clx.Reset(nil)
+	return err
+}
+
+// tokenSource is what the token loop lexes from: a ByteLexer over a whole
+// document or a ChunkedLexer over a reader.
+type tokenSource interface {
+	Next() (*xmltext.ByteToken, error)
+}
+
+// run resets the checker and feeds it every token of src.
+func (c *StreamChecker) run(src tokenSource) error {
+	c.Reset()
 	for {
-		tok, err := c.clx.Next()
+		tok, err := src.Next()
 		if err != nil {
 			return err
 		}
@@ -475,17 +421,14 @@ func (c *StreamChecker) RunReaderBuffer(r io.Reader, bufSize int) error {
 		}
 		switch tok.Kind {
 		case xmltext.StartTag:
-			if err := c.StartElementBytes(tok.Name); err != nil {
-				return err
-			}
+			err = c.StartElement(tok.Name)
 		case xmltext.EndTag:
-			if err := c.EndElementBytes(tok.Name); err != nil {
-				return err
-			}
+			err = c.EndElement(tok.Name)
 		case xmltext.Text:
-			if err := c.TextBytes(tok.Data); err != nil {
-				return err
-			}
+			err = c.Text(tok.Data)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -495,8 +438,8 @@ func (c *StreamChecker) RunReaderBuffer(r io.Reader, bufSize int) error {
 func (s *Schema) CheckReader(r io.Reader) error { return s.NewStreamChecker().RunReader(r) }
 
 // isSpace reports whether the text is entirely XML whitespace; shared by
-// the string and byte event paths (and by Δ_T via isWhitespace).
-func isSpace[S streamText](s S) bool {
+// the text event and by Δ_T via isWhitespace.
+func isSpace[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\r', '\n':

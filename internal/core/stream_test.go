@@ -48,19 +48,19 @@ func TestStreamEventAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(c.StartElement("r"))
-	must(c.StartElement("a"))
-	must(c.StartElement("b"))
-	must(c.Text("A quick brown"))
-	must(c.EndElement("b"))
-	must(c.StartElement("c"))
-	must(c.Text(" fox jumps over a lazy"))
-	must(c.EndElement("c"))
-	must(c.Text(" dog"))
-	must(c.StartElement("e"))
-	must(c.EndElement("e"))
-	must(c.EndElement("a"))
-	must(c.EndElement("r"))
+	must(c.StartElement([]byte("r")))
+	must(c.StartElement([]byte("a")))
+	must(c.StartElement([]byte("b")))
+	must(c.Text([]byte("A quick brown")))
+	must(c.EndElement([]byte("b")))
+	must(c.StartElement([]byte("c")))
+	must(c.Text([]byte(" fox jumps over a lazy")))
+	must(c.EndElement([]byte("c")))
+	must(c.Text([]byte(" dog")))
+	must(c.StartElement([]byte("e")))
+	must(c.EndElement([]byte("e")))
+	must(c.EndElement([]byte("a")))
+	must(c.EndElement([]byte("r")))
 	must(c.Close())
 }
 
@@ -69,26 +69,26 @@ func TestStreamRejectsEarly(t *testing.T) {
 	// before the document is complete — the editor-feedback property.
 	s := figure1Schema(t)
 	c := s.NewStreamChecker()
-	if err := c.StartElement("r"); err != nil {
+	if err := c.StartElement([]byte("r")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StartElement("a"); err != nil {
+	if err := c.StartElement([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StartElement("b"); err != nil {
+	if err := c.StartElement([]byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EndElement("b"); err != nil {
+	if err := c.EndElement([]byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StartElement("e"); err != nil {
+	if err := c.StartElement([]byte("e")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EndElement("e"); err != nil {
+	if err := c.EndElement([]byte("e")); err != nil {
 		t.Fatal(err)
 	}
 	// <c> after <e> violates a's model immediately.
-	if err := c.StartElement("c"); err == nil {
+	if err := c.StartElement([]byte("c")); err == nil {
 		t.Error("expected violation at <c>")
 	}
 	// The checker stays failed.
@@ -101,16 +101,16 @@ func TestStreamAdjacentTextCollapses(t *testing.T) {
 	s := figure1Schema(t)
 	c := s.NewStreamChecker()
 	for _, call := range []func() error{
-		func() error { return c.StartElement("r") },
-		func() error { return c.StartElement("a") },
-		func() error { return c.StartElement("c") },
-		func() error { return c.Text("one ") },
-		func() error { return c.Text("two") }, // same σ
-		func() error { return c.EndElement("c") },
-		func() error { return c.StartElement("d") },
-		func() error { return c.EndElement("d") },
-		func() error { return c.EndElement("a") },
-		func() error { return c.EndElement("r") },
+		func() error { return c.StartElement([]byte("r")) },
+		func() error { return c.StartElement([]byte("a")) },
+		func() error { return c.StartElement([]byte("c")) },
+		func() error { return c.Text([]byte("one ")) },
+		func() error { return c.Text([]byte("two")) }, // same σ
+		func() error { return c.EndElement([]byte("c")) },
+		func() error { return c.StartElement([]byte("d")) },
+		func() error { return c.EndElement([]byte("d")) },
+		func() error { return c.EndElement([]byte("a")) },
+		func() error { return c.EndElement([]byte("r")) },
 	} {
 		if err := call(); err != nil {
 			t.Fatal(err)
@@ -143,13 +143,13 @@ func TestStreamWellFormedness(t *testing.T) {
 func TestStreamDepthTracking(t *testing.T) {
 	s := figure1Schema(t)
 	c := s.NewStreamChecker()
-	c.StartElement("r")
-	c.StartElement("a")
+	c.StartElement([]byte("r"))
+	c.StartElement([]byte("a"))
 	if c.Depth() != 2 {
 		t.Errorf("Depth = %d, want 2", c.Depth())
 	}
-	c.EndElement("a")
-	c.EndElement("r")
+	c.EndElement([]byte("a"))
+	c.EndElement([]byte("r"))
 	if c.Depth() != 0 {
 		t.Errorf("Depth = %d, want 0", c.Depth())
 	}

@@ -19,8 +19,8 @@ type Document struct {
 // treeBuilder assembles a Document from a token stream, one token at a
 // time, enforcing well-formedness: properly nested matching tags, a single
 // root element, and nothing but whitespace, comments and PIs outside the
-// root. Feeding tokens incrementally (rather than materializing a token
-// slice first) is what lets ParseBytes ride the zero-copy lexer.
+// root. It consumes the zero-copy lexer's reused tokens directly and
+// materializes only the names, data and attributes the tree retains.
 type treeBuilder struct {
 	doc   Document
 	stack []*Node
@@ -52,13 +52,13 @@ func (b *treeBuilder) push(n *Node) error {
 	return nil
 }
 
-// add consumes one token. The token may be transient (a reused ByteToken
-// materialized to strings); the builder retains only the strings it is
-// handed.
-func (b *treeBuilder) add(tok *xmltext.Token) error {
+// add consumes one token. The token is transient (the lexer reuses it and
+// its slices alias the input), so everything the tree keeps is copied.
+func (b *treeBuilder) add(tok *xmltext.ByteToken) error {
 	switch tok.Kind {
 	case xmltext.StartTag:
-		n := &Node{Kind: ElementNode, Name: tok.Name, Attrs: tok.Attrs}
+		t := tok.Token()
+		n := &Node{Kind: ElementNode, Name: t.Name, Attrs: t.Attrs}
 		if err := b.push(n); err != nil {
 			return err
 		}
@@ -68,19 +68,19 @@ func (b *treeBuilder) add(tok *xmltext.Token) error {
 			return fmt.Errorf("xml: %s: unexpected end tag </%s>", tok.Pos, tok.Name)
 		}
 		top := b.stack[len(b.stack)-1]
-		if top.Name != tok.Name {
+		if top.Name != string(tok.Name) {
 			return fmt.Errorf("xml: %s: end tag </%s> does not match open <%s>", tok.Pos, tok.Name, top.Name)
 		}
 		b.stack = b.stack[:len(b.stack)-1]
 	case xmltext.Text:
-		if tok.Data == "" {
+		if len(tok.Data) == 0 {
 			return nil
 		}
-		return b.push(&Node{Kind: TextNode, Data: tok.Data})
+		return b.push(&Node{Kind: TextNode, Data: string(tok.Data)})
 	case xmltext.Comment:
-		return b.push(&Node{Kind: CommentNode, Data: tok.Data})
+		return b.push(&Node{Kind: CommentNode, Data: string(tok.Data)})
 	case xmltext.ProcInst:
-		return b.push(&Node{Kind: ProcInstNode, Name: tok.Name, Data: tok.Data})
+		return b.push(&Node{Kind: ProcInstNode, Name: string(tok.Name), Data: string(tok.Data)})
 	case xmltext.Doctype:
 		// A DOCTYPE declaration in the instance is tolerated and ignored;
 		// the DTD is supplied separately in this system.
@@ -103,10 +103,16 @@ func (b *treeBuilder) finish() (*Document, error) {
 	return &b.doc, nil
 }
 
-// Parse parses an XML string into a document tree.
-func Parse(src string) (*Document, error) {
+// Parse parses an XML string into a document tree, reading src in place
+// through xmltext.View.
+func Parse(src string) (*Document, error) { return ParseBytes(xmltext.View(src)) }
+
+// ParseBytes parses an XML byte slice into a document tree. Tokens come
+// from the zero-copy lexer; only what the tree retains is copied into
+// strings, so the resulting document does not pin the input buffer.
+func ParseBytes(src []byte) (*Document, error) {
 	var b treeBuilder
-	lx := xmltext.NewLexer(src)
+	lx := xmltext.NewByteLexer(src)
 	for {
 		tok, err := lx.Next()
 		if err != nil {
@@ -116,28 +122,6 @@ func Parse(src string) (*Document, error) {
 			return b.finish()
 		}
 		if err := b.add(tok); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// ParseBytes parses an XML byte slice into a document tree without first
-// copying it into a string. Tokens come from the zero-copy lexer; only the
-// names, data and attributes the tree actually retains are materialized as
-// strings, so the resulting document does not pin the input buffer.
-func ParseBytes(src []byte) (*Document, error) {
-	var b treeBuilder
-	lx := xmltext.NewByteLexer(src)
-	for {
-		bt, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		if bt == nil {
-			return b.finish()
-		}
-		tok := bt.Token()
-		if err := b.add(&tok); err != nil {
 			return nil, err
 		}
 	}

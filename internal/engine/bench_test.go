@@ -39,13 +39,10 @@ func asBytes(docs []Doc) []Doc {
 	return out
 }
 
-// BenchmarkEngineBatchPath is experiment X8: CheckBatch throughput and
-// allocs/op over a 1k-document mixed corpus, string path versus zero-copy
-// byte path, in both verdict modes. The acceptance bar is >=30% fewer
-// allocs/op for bytes (TestBytePathAllocReduction enforces it).
+// BenchmarkEngineBatchPath measures CheckBatch throughput and allocs/op
+// over a 1k-document mixed corpus in both verdict modes.
 func BenchmarkEngineBatchPath(b *testing.B) {
 	docs := benchCorpus(1000)
-	byteDocs := asBytes(docs)
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d.Content))
@@ -54,27 +51,22 @@ func BenchmarkEngineBatchPath(b *testing.B) {
 		name   string
 		pvOnly bool
 	}{{"full", false}, {"pvonly", true}} {
-		for _, path := range []struct {
-			name string
-			docs []Doc
-		}{{"string", docs}, {"bytes", byteDocs}} {
-			b.Run(mode.name+"/"+path.name, func(b *testing.B) {
-				e := New(Config{Workers: 4, PVOnly: mode.pvOnly})
-				s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
-				if err != nil {
-					b.Fatal(err)
+		b.Run(mode.name, func(b *testing.B) {
+			e := New(Config{Workers: 4, PVOnly: mode.pvOnly})
+			s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				results, _ := e.CheckBatch(s, docs)
+				if len(results) != len(docs) {
+					b.Fatal("missing results")
 				}
-				b.SetBytes(bytes)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					results, _ := e.CheckBatch(s, path.docs)
-					if len(results) != len(path.docs) {
-						b.Fatal("missing results")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -95,11 +87,13 @@ func measureBatchAllocs(tb testing.TB, e *Engine, s *Schema, docs []Doc, rounds 
 	return float64(ms1.Mallocs-ms0.Mallocs) / float64(rounds)
 }
 
-// TestBytePathAllocReduction enforces the X8 acceptance criterion: over a
-// 1k-document mixed corpus, the byte path must allocate at least 30% less
-// per CheckBatch than the string path (in practice the reduction is far
-// larger; 30% is the regression floor).
-func TestBytePathAllocReduction(t *testing.T) {
+// TestStringInputAllocParity pins the single input path: over a
+// 1k-document mixed corpus, CheckBatch on Content documents allocates no
+// more than on the same documents as Bytes, because both are read in
+// place by the same lexer. The 1% slack absorbs pool refills after the
+// measurement's GC; a string path with its own per-token allocations
+// would cost several times the byte path's count.
+func TestStringInputAllocParity(t *testing.T) {
 	docs := benchCorpus(1000)
 	byteDocs := asBytes(docs)
 	e := New(Config{Workers: 4})
@@ -109,11 +103,9 @@ func TestBytePathAllocReduction(t *testing.T) {
 	}
 	strAllocs := measureBatchAllocs(t, e, s, docs, 3)
 	byteAllocs := measureBatchAllocs(t, e, s, byteDocs, 3)
-	t.Logf("allocs per 1k-doc batch: string=%.0f bytes=%.0f (%.1f%% reduction)",
-		strAllocs, byteAllocs, 100*(1-byteAllocs/strAllocs))
-	if byteAllocs > 0.7*strAllocs {
-		t.Errorf("byte path allocates %.0f per batch, string path %.0f — want >=30%% reduction",
-			byteAllocs, strAllocs)
+	t.Logf("allocs per 1k-doc batch: string=%.0f bytes=%.0f", strAllocs, byteAllocs)
+	if strAllocs > 1.01*byteAllocs {
+		t.Errorf("string documents allocate %.0f per batch, byte documents %.0f — want no more", strAllocs, byteAllocs)
 	}
 }
 

@@ -91,14 +91,9 @@ func (s *Schema) PutCompleter(c *complete.Completer) { s.completers.Put(c) }
 // the rest go through the completion DP. withDiff controls whether
 // insertion records are computed.
 func (e *Engine) completeOne(s *Schema, c *complete.Completer, d Doc, withDiff bool) CompleteResult {
-	res := CompleteResult{ID: d.ID, Bytes: d.Size()}
-	var doc *dom.Document
-	var err error
-	if d.Bytes != nil {
-		doc, err = dom.ParseBytes(d.Bytes)
-	} else {
-		doc, err = dom.Parse(d.Content)
-	}
+	src := d.data()
+	res := CompleteResult{ID: d.ID, Bytes: len(src)}
+	doc, err := dom.ParseBytes(src)
 	if err != nil {
 		res.Err = err
 		return res

@@ -24,6 +24,7 @@ import (
 	"repro/internal/receipt"
 	"repro/internal/schemastore"
 	"repro/internal/validator"
+	"repro/internal/xmltext"
 )
 
 // Schema is one compiled checking artifact: the potential-validity core,
@@ -56,9 +57,9 @@ func NewSchema(c *core.Schema, v *validator.Validator) *Schema {
 
 // Doc is one batch input: an identifier (a path, a queue key — anything)
 // and the XML content. Content and Bytes are alternatives: when Bytes is
-// non-nil it is the document and the zero-copy byte path checks it without
-// ever materializing a string; otherwise Content is checked on the string
-// path. SchemaRef optionally routes the document to a registry-cached
+// non-nil it is the document, otherwise Content is. Either way the engine
+// reads the document only through data, so both ride the same zero-copy
+// byte path. SchemaRef optionally routes the document to a registry-cached
 // schema (a prefix of Schema.Ref, at least RefMinLen hex digits), letting
 // one batch carry a mixed multi-schema firehose.
 type Doc struct {
@@ -68,13 +69,17 @@ type Doc struct {
 	SchemaRef string `json:"schemaRef,omitempty"`
 }
 
-// Size returns the payload length in bytes.
-func (d *Doc) Size() int {
+// data returns the document: Bytes when set, else Content read in place
+// through the read-only xmltext.View. Nothing may write to the result.
+func (d *Doc) data() []byte {
 	if d.Bytes != nil {
-		return len(d.Bytes)
+		return d.Bytes
 	}
-	return len(d.Content)
+	return xmltext.View(d.Content)
 }
+
+// Size returns the payload length in bytes.
+func (d *Doc) Size() int { return len(d.data()) }
 
 // Result is the verdict for one document. It mirrors the sequential
 // CheckString contract: Err is set for lexical/well-formedness problems (the
@@ -401,16 +406,11 @@ func (e *Engine) Compile(kind SourceKind, src, root string, opts CompileOptions)
 // check runs the verdict for one document on a (reusable) stream checker.
 // The streaming pass settles well-formedness and potential validity in one
 // linear scan; only documents that pass it pay for the tree parse that the
-// full-validity bit needs. Byte documents ride the zero-copy path end to
-// end (RunBytes + ParseBytes); string documents the compatibility path.
+// full-validity bit needs. Both passes read the document in place.
 func (e *Engine) check(s *Schema, c *core.StreamChecker, d Doc) Result {
-	res := Result{ID: d.ID, Bytes: d.Size()}
-	var err error
-	if d.Bytes != nil {
-		err = c.RunBytes(d.Bytes)
-	} else {
-		err = c.Run(d.Content)
-	}
+	src := d.data()
+	res := Result{ID: d.ID, Bytes: len(src)}
+	err := c.RunBytes(src)
 	e.harvestFastPath(c)
 	if err != nil {
 		if core.IsViolation(err) {
@@ -432,13 +432,7 @@ func (e *Engine) check(s *Schema, c *core.StreamChecker, d Doc) Result {
 			res.Valid = true
 			return res
 		}
-		var doc *dom.Document
-		var perr error
-		if d.Bytes != nil {
-			doc, perr = dom.ParseBytes(d.Bytes)
-		} else {
-			doc, perr = dom.Parse(d.Content)
-		}
+		doc, perr := dom.ParseBytes(src)
 		if perr != nil {
 			// The stream lexer and the tree parser should agree on
 			// well-formedness (the fuzz targets enforce it); if they ever

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/gen"
 )
@@ -169,5 +170,72 @@ func TestResolveRef(t *testing.T) {
 	// A schema that failed to compile is not resolvable.
 	if _, cerr := r.Compile(DTDSource, "<!ELEMENT", "x", CompileOptions{}); cerr == nil {
 		t.Fatal("bad DTD compiled")
+	}
+}
+
+// Read-only inputs: string constants live in the binary's read-only data,
+// so a write through xmltext.View would fault the test binary.
+const (
+	roValid      = `<play><title>T &amp; co</title><personae><persona role="a&lt;b">P</persona></personae><act><title>A</title><scene><title>S</title><stagedir>enter</stagedir></scene></act></play>`
+	roStripped   = `<play><title>T</title><persona>P &#65;</persona><act><scene><speech><speaker>X</speaker><line>l</line></speech></scene></act></play>`
+	roUndeclared = `<play><title>T</title><bogus/></play>`
+	roMalformed  = `<play><title>T</play>`
+)
+
+// TestDocumentInputIsReadOnly runs check, receipt digest, parse and
+// completion over documents held in read-only memory, then over byte
+// copies that must come back unchanged: nothing on the input path writes
+// to a document. The expected verdicts make sure every path ran: the
+// strict fast path, the tree pass, a violation, a lexical error, and a
+// completion with insertions.
+func TestDocumentInputIsReadOnly(t *testing.T) {
+	e := New(Config{Workers: 2})
+	s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []string{roValid, roStripped, roUndeclared, roMalformed}
+	run := func(label string, docs []Doc) {
+		results, _ := e.CheckBatch(s, docs)
+		if r := results[0]; !r.Valid {
+			t.Errorf("%s: valid document: %+v", label, r)
+		}
+		if r := results[1]; !r.PotentiallyValid || r.Valid {
+			t.Errorf("%s: stripped document should be potentially valid only: %+v", label, r)
+		}
+		if r := results[2]; r.PotentiallyValid || r.Detail == "" {
+			t.Errorf("%s: undeclared element should be a violation: %+v", label, r)
+		}
+		if r := results[3]; r.Err == nil {
+			t.Errorf("%s: malformed document should be an error: %+v", label, r)
+		}
+		if _, _, rec, err := e.CheckBatchReceipt(s, docs); err != nil || rec == nil {
+			t.Errorf("%s: receipt: %v", label, err)
+		}
+		completed, _ := e.CompleteBatch(s, docs, true)
+		if c := completed[1]; !c.Completed || c.Inserted == 0 {
+			t.Errorf("%s: stripped document should complete with insertions: %+v", label, c)
+		}
+		for i := range docs {
+			_, _ = dom.ParseBytes(docs[i].data())
+		}
+	}
+
+	lits := make([]Doc, len(inputs))
+	for i, src := range inputs {
+		lits[i] = Doc{ID: fmt.Sprint(i), Content: src}
+		_, _ = dom.Parse(src)
+	}
+	run("string constants", lits)
+
+	copies := make([]Doc, len(inputs))
+	for i, src := range inputs {
+		copies[i] = Doc{ID: fmt.Sprint(i), Bytes: []byte(src)}
+	}
+	run("byte copies", copies)
+	for i, d := range copies {
+		if string(d.Bytes) != inputs[i] {
+			t.Errorf("document %d was modified: %q became %q", i, inputs[i], d.Bytes)
+		}
 	}
 }

@@ -152,10 +152,14 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 	defer closeBody()
 	// A stream reads the body for as long as the client keeps sending;
 	// lift the server's ReadTimeout for this request only (the slow-client
-	// protection of the bounded routes stays in place). Errors are ignored:
-	// test recorders and exotic transports simply keep their defaults.
+	// protection of the bounded routes stays in place). Verdicts flush
+	// while the body is still arriving, so enable full duplex: otherwise
+	// Go's HTTP/1.1 server discards and closes the unread body on the
+	// first flush. Errors are ignored: test recorders and exotic
+	// transports simply keep their defaults.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Time{})
+	_ = rc.EnableFullDuplex()
 	sc := bufio.NewScanner(body)
 	// A JSON-escaped document inflates by at most 2x for sane inputs; the
 	// slack keeps a cap-sized document scannable while still bounding one

@@ -347,3 +347,70 @@ func TestBatchSchemaRefOverHTTP(t *testing.T) {
 		t.Fatalf("unrouted doc: %+v", resp.Results[1])
 	}
 }
+
+// streamOverListener posts a header plus 64 mixed Play documents (about
+// 120 KB of NDJSON) to route on a real HTTP/1.1 listener and checks that
+// every result line equals want(i) and a stats line closes the stream. The
+// server flushes verdicts while the body is still arriving; without full
+// duplex Go's server closes the unread body at the first flush and the
+// stream ends early in a read error.
+func streamOverListener(t *testing.T, e *Engine, route string, docs []Doc, want func(i int) any) {
+	t.Helper()
+	lines := []string{header(t, dtd.Play, "play")}
+	for _, d := range docs {
+		lines = append(lines, docLine(t, d.ID, d.Content, ""))
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+route, "application/x-ndjson", strings.NewReader(ndjson(lines...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(got) != len(docs)+1 {
+		t.Fatalf("%s: %d lines for %d documents, last %q", route, len(got), len(docs), got[len(got)-1])
+	}
+	for i := range docs {
+		w, err := json.Marshal(want(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != string(w) {
+			t.Errorf("%s: line %d\n  got:  %s\n  want: %s", route, i, got[i], w)
+		}
+	}
+	if !strings.HasPrefix(got[len(docs)], `{"stats":`) {
+		t.Errorf("%s: last line is not the stats line: %s", route, got[len(docs)])
+	}
+}
+
+// TestCheckStreamRealConnection: /check/stream over a real connection
+// answers every document exactly as CheckBatch does.
+func TestCheckStreamRealConnection(t *testing.T) {
+	e := New(Config{Workers: 2})
+	s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := benchCorpus(64)
+	results, _ := e.CheckBatch(s, docs)
+	streamOverListener(t, e, "/check/stream", docs, func(i int) any { return toJSON(results[i]) })
+}
+
+// TestCompleteStreamRealConnection: /complete/stream over a real
+// connection answers every document exactly as CompleteBatch does.
+func TestCompleteStreamRealConnection(t *testing.T) {
+	e := New(Config{Workers: 2})
+	s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := benchCorpus(64)
+	results, _ := e.CompleteBatch(s, docs, true)
+	streamOverListener(t, e, "/complete/stream", docs, func(i int) any { return completeToJSON(results[i]) })
+}

@@ -1,11 +1,9 @@
-// Zero-copy byte-path lexer. ByteLexer recognizes exactly the grammar of
-// Lexer but operates on []byte input and emits tokens whose Name/Data/Attrs
-// are subslices of the input (or of an internal scratch buffer when entity
-// references force resolution), so the steady-state token loop performs no
-// per-token allocation. The string Lexer remains the compatibility surface;
-// ByteToken.Token and TokenizeBytes are the thin string shims over this
-// path, and FuzzLexBytes plus TestByteLexerMatchesStringLexer pin the two
-// implementations to byte-identical token streams.
+// ByteLexer is the package's one tokenizer. It operates on []byte input and
+// emits tokens whose Name/Data/Attrs are subslices of the input (or of an
+// internal scratch buffer when entity references force resolution), so the
+// steady-state token loop performs no per-token allocation. It only ever
+// reads its input, which is what lets strings enter through View.
+// ByteToken.Token and TokenizeBytes materialize owning string tokens.
 package xmltext
 
 import (
@@ -23,7 +21,7 @@ type ByteAttr struct {
 	Value []byte
 }
 
-// ByteToken is the zero-copy counterpart of Token. Its byte slices (and the
+// ByteToken is the zero-copy form of Token. Its byte slices (and the
 // token itself, which the lexer reuses) are valid only until the next call
 // to Next; callers that need to retain a token materialize it with Token.
 type ByteToken struct {
@@ -36,8 +34,7 @@ type ByteToken struct {
 	End       int
 }
 
-// Token materializes the byte token as an owning string Token — the
-// compatibility shim for callers on the string API.
+// Token materializes the byte token as an owning string Token.
 func (t *ByteToken) Token() Token {
 	out := Token{
 		Kind:      t.Kind,
@@ -57,7 +54,8 @@ func (t *ByteToken) Token() Token {
 }
 
 // ByteLexer tokenizes an XML byte slice without copying it. The input must
-// not be mutated while the lexer is in use.
+// not be mutated while the lexer is in use, and the lexer never writes to
+// it.
 type ByteLexer struct {
 	src       []byte
 	pos       int
@@ -96,16 +94,18 @@ func NewByteLexer(src []byte) *ByteLexer {
 
 // Reset rewinds the lexer onto a new input, retaining its internal buffers
 // — the hook that lets checker pools lex many documents without
-// re-allocating lexer state.
+// re-allocating lexer state. It also drops every reference into the
+// previous input, so Reset(nil) releases a finished document.
 func (l *ByteLexer) Reset(src []byte) {
 	l.src = src
 	l.pos = 0
 	l.line, l.col = 1, 1
 	l.havePend = false
+	l.tok, l.pendTok = ByteToken{}, ByteToken{}
+	clear(l.attrs[:cap(l.attrs)])
 }
 
-// TokenizeBytes lexes the entire slice through the zero-copy path and
-// materializes string tokens — byte-for-byte equivalent to Tokenize(string(src)).
+// TokenizeBytes lexes the entire slice and materializes owning tokens.
 func TokenizeBytes(src []byte) ([]Token, error) {
 	lx := NewByteLexer(src)
 	var out []Token
@@ -511,9 +511,8 @@ func (l *ByteLexer) skipSpace() {
 
 // charRefValue parses the digits of a numeric character reference in the
 // given base (10 or 16). It is strict — no signs, no trailing garbage, no
-// values beyond the Unicode code space — and shared by both lexers so the
-// string and byte paths agree on every input.
-func charRefValue[S ~string | ~[]byte](digits S, base int32) (rune, bool) {
+// values beyond the Unicode code space.
+func charRefValue(digits []byte, base int32) (rune, bool) {
 	if len(digits) == 0 {
 		return 0, false
 	}

@@ -48,29 +48,6 @@ var differentialInputs = []string{
 	`<a>mixed &#x263A; text</a>`,
 }
 
-// TestByteLexerMatchesStringLexer pins the zero-copy path to the string
-// lexer: identical token streams (kinds, names, data, attributes,
-// positions) and identical errors on every corpus input.
-func TestByteLexerMatchesStringLexer(t *testing.T) {
-	for _, src := range differentialInputs {
-		want, wantErr := Tokenize(src)
-		got, gotErr := TokenizeBytes([]byte(src))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("%q: error mismatch\n  string: %v\n  bytes:  %v", src, wantErr, gotErr)
-			continue
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Errorf("%q: error text mismatch\n  string: %v\n  bytes:  %v", src, wantErr, gotErr)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%q: token mismatch\n  string: %#v\n  bytes:  %#v", src, want, got)
-		}
-	}
-}
-
 // TestByteTokensAreSubslices verifies the zero-copy contract: on input free
 // of entity references, token names, data and attribute values alias the
 // source buffer rather than copies of it.
@@ -148,24 +125,6 @@ func TestByteLexerScratchReuse(t *testing.T) {
 	}
 	if toks[1].Data != ">text<" {
 		t.Errorf("text = %q, want %q", toks[1].Data, ">text<")
-	}
-}
-
-func BenchmarkLexString(b *testing.B) {
-	src := benchDoc()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lx := NewLexer(src)
-		for {
-			tok, err := lx.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if tok == nil {
-				break
-			}
-		}
 	}
 }
 

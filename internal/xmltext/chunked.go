@@ -97,9 +97,13 @@ func (cl *ChunkedLexer) Next() (*ByteToken, error) {
 }
 
 // refill discards the cp consumed bytes at the front of the window, slides
-// the unconsumed tail down, and appends at least one new byte from the
-// reader. At end of input it flips the inner lexer out of streaming mode so
-// end-of-window conditions become definitive (token or syntax error).
+// the unconsumed tail down, and reads until the window is full or the
+// reader reports end of input. Filling the whole window matters for a
+// token longer than one Read: each refill re-lexes the token from its
+// start, so topping up a few bytes at a time would make that token cost
+// quadratic time. At end of input it flips the inner lexer out of streaming
+// mode so end-of-window conditions become definitive (token or syntax
+// error).
 func (cl *ChunkedLexer) refill(cp int) error {
 	if cp > 0 {
 		copy(cl.buf, cl.buf[cp:cl.n])
@@ -112,29 +116,26 @@ func (cl *ChunkedLexer) refill(cp int) error {
 		copy(grown, cl.buf[:cl.n])
 		cl.buf = grown
 	}
-	for empty := 0; ; {
+	for from, empty := cl.n, 0; cl.n < len(cl.buf); {
 		m, err := cl.r.Read(cl.buf[cl.n:])
 		cl.n += m
-		if m > 0 {
-			if err == io.EOF {
-				cl.eof = true
-				cl.inner.streaming = false
-			}
-			return nil
-		}
 		switch {
 		case err == io.EOF:
 			cl.eof = true
 			cl.inner.streaming = false
 			return nil
+		case err != nil && cl.n > from:
+			// Lex what arrived first; the next refill meets the error again.
+			return nil
 		case err != nil:
 			return err
-		default:
+		case m == 0:
 			if empty++; empty >= 100 {
 				return io.ErrNoProgress
 			}
 		}
 	}
+	return nil
 }
 
 // InputOffset returns the global byte offset of the next unconsumed byte —

@@ -1,6 +1,7 @@
 package xmltext
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"reflect"
@@ -49,12 +50,30 @@ func TestChunkedLexerMatchesByteLexer(t *testing.T) {
 
 // TestChunkedLexerOneByteReads drives the lexer with a reader that returns
 // one byte per Read call — the worst-case refill cadence an io.Reader can
-// legally produce.
+// legally produce — including tokens several windows long. A refill must
+// still fill the whole window, or every Read re-lexes a long token from
+// its start, so the window is full once the first token is out.
 func TestChunkedLexerOneByteReads(t *testing.T) {
-	for _, src := range straddleInputs() {
+	const window = 64
+	long := strings.Repeat("0123456789", 5*window/10)
+	inputs := append(straddleInputs(),
+		`<r>`+long+`</r>`,
+		`<r><!--`+long+`--></r>`,
+		`<r a="`+strings.Repeat("x&amp;", window)+`">`+long+`&lt;</r>`,
+		`<r><![CDATA[`+long+`]]><`+strings.Repeat("n", 3*window)+`/></r>`,
+	)
+	for _, src := range inputs {
 		want, wantErr := TokenizeBytes([]byte(src))
-		got, gotErr := tokenizeChunked(iotest.OneByteReader(strings.NewReader(src)), 64)
+		got, gotErr := tokenizeChunked(iotest.OneByteReader(strings.NewReader(src)), window)
 		compareChunked(t, fmt.Sprintf("onebyte %.60q", src), want, wantErr, got, gotErr)
+
+		cl := NewChunkedLexer(iotest.OneByteReader(strings.NewReader(src)), window)
+		if _, err := cl.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if cl.n != cl.BufSize() {
+			t.Errorf("%.30q: window holds %d bytes after the first token, want it full (%d)", src, cl.n, cl.BufSize())
+		}
 	}
 }
 
@@ -169,4 +188,47 @@ func straddleInputs() []string {
 		`<!DOCTYPE r [ <!ELEMENT r (#PCDATA)> ]><r>` + strings.Repeat("deep text ", 40) + `</r>`,
 		strings.Repeat(`<a/>`, 100),
 	}
+}
+
+// BenchmarkChunkedLexerReadSize lexes a 2 MB single-text-node document
+// through the default window, fed by 4 KB reads and by whole-window reads.
+// A token longer than one read is where a refill that stops at the first
+// short read turns quadratic; the two rows should match.
+func BenchmarkChunkedLexerReadSize(b *testing.B) {
+	src := []byte(`<r>` + strings.Repeat("x", 2<<20) + `</r>`)
+	for _, bc := range []struct {
+		name string
+		read int
+	}{{"read=4KB", 4 << 10}, {"read=window", DefaultChunkSize}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			cl := NewChunkedLexer(nil, 0)
+			for i := 0; i < b.N; i++ {
+				cl.Reset(capReader{bytes.NewReader(src), bc.read})
+				for {
+					tok, err := cl.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if tok == nil {
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
+// capReader returns at most n bytes per Read, like a network body that
+// delivers a document a segment at a time.
+type capReader struct {
+	r io.Reader
+	n int
+}
+
+func (c capReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
 }

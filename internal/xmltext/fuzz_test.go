@@ -6,18 +6,23 @@ import (
 	"testing"
 )
 
-// FuzzLexBytes asserts that on arbitrary input the zero-copy byte lexer
-// and the string lexer agree exactly: same token stream (kinds, names,
-// data, attributes, positions) on acceptance, same error text on
-// rejection. The streaming checker's byte fast path and dom.ParseBytes
-// both ride on this equivalence.
+// FuzzLexBytes asserts that on arbitrary input the two ways into the
+// lexer agree exactly: a string read in place through View (Tokenize) and
+// an owned copy of its bytes (TokenizeBytes) give the same token stream
+// (kinds, names, data, attributes, positions) on acceptance and the same
+// error text on rejection, and lexing leaves the copy unmodified. The
+// checker's and the tree parser's string entry points ride on this.
 func FuzzLexBytes(f *testing.F) {
 	for _, seed := range differentialInputs {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		want, wantErr := Tokenize(src)
-		got, gotErr := TokenizeBytes([]byte(src))
+		buf := []byte(src)
+		got, gotErr := TokenizeBytes(buf)
+		if string(buf) != src {
+			t.Fatalf("lexing wrote into its input: %q became %q", src, buf)
+		}
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error mismatch on %q\n  string: %v\n  bytes:  %v", src, wantErr, gotErr)
 		}

@@ -50,6 +50,7 @@ import (
 	"repro/internal/reach"
 	"repro/internal/receipt"
 	"repro/internal/validator"
+	"repro/internal/xmltext"
 	"repro/internal/xsd"
 )
 
@@ -215,13 +216,7 @@ type Result struct {
 
 // CheckString parses an XML string and checks it. The returned error covers
 // lexical/well-formedness problems only; schema verdicts are in the Result.
-func (s *Schema) CheckString(xml string) (Result, error) {
-	doc, err := dom.Parse(xml)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.checkRoot(doc.Root), nil
-}
+func (s *Schema) CheckString(xml string) (Result, error) { return s.CheckBytes(xmltext.View(xml)) }
 
 // CheckDocument checks a parsed document.
 func (s *Schema) CheckDocument(doc *Document) Result { return s.checkRoot(doc.root) }
@@ -240,8 +235,7 @@ func (s *Schema) checkRoot(root *dom.Node) Result {
 }
 
 // CheckBytes parses an XML document held as bytes and checks it, without
-// ever copying the document into a string — the byte-path twin of
-// CheckString. Verdicts are identical.
+// ever copying the document into a string.
 func (s *Schema) CheckBytes(xml []byte) (Result, error) {
 	doc, err := dom.ParseBytes(xml)
 	if err != nil {
@@ -253,13 +247,13 @@ func (s *Schema) CheckBytes(xml []byte) (Result, error) {
 // CheckStream checks an XML string in a single streaming pass without
 // building a tree — the recommended mode for large documents. It returns
 // nil when the document is potentially valid.
-func (s *Schema) CheckStream(xml string) error { return s.core.CheckStream(xml) }
+func (s *Schema) CheckStream(xml string) error { return s.CheckStreamBytes(xmltext.View(xml)) }
 
-// CheckStreamBytes is CheckStream on the zero-copy byte path: token names
-// and data are subslices of xml, element names resolve through the
-// schema's interned-name table, and an entity-free document is checked
-// with no per-token allocation. The fastest way to check an mmap'd or
-// pooled buffer.
+// CheckStreamBytes is CheckStream over bytes: token names and data are
+// subslices of xml, element names resolve through the schema's
+// interned-name table, and an entity-free document is checked with no
+// per-token allocation. The fastest way to check an mmap'd or pooled
+// buffer.
 func (s *Schema) CheckStreamBytes(xml []byte) error { return s.core.CheckStreamBytes(xml) }
 
 // CheckReader is CheckStream over an io.Reader: the document is lexed
