@@ -28,8 +28,8 @@
 // Async jobs decouple document arrival from verdict production: a huge
 // corpus is accepted in one 202 round trip, checked by -job-workers jobs
 // draining through the shared worker pool, and its results are retained
-// for -job-ttl after completion (spilling past the in-memory buffer when a
-// cache directory is configured).
+// for -job-ttl after completion (in memory, or written through to
+// <cache-dir>/jobs/results when jobs are durable).
 //
 // With -cache-dir set, jobs are durable by default: every submission is
 // recorded in a write-ahead log under <cache-dir>/jobs before it is

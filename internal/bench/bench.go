@@ -774,7 +774,7 @@ func AsyncIngest(workerCounts []int, corpusSize int, budget time.Duration) *Tabl
 		start = time.Now()
 		for time.Since(start) < budget || asyncRuns == 0 {
 			t0 := time.Now()
-			job, err := e.SubmitCheckBatch(s, docs)
+			job, err := e.SubmitCheckBatch(s, docs, false)
 			if err != nil {
 				panic(err)
 			}
@@ -862,7 +862,7 @@ func Durability(corpusSize int, budget time.Duration) *Table {
 		}
 		runJob := func() time.Duration {
 			t0 := time.Now()
-			job, err := e.SubmitCheckBatch(s, docs)
+			job, err := e.SubmitCheckBatch(s, docs, false)
 			if err != nil {
 				panic(err)
 			}

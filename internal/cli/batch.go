@@ -248,13 +248,13 @@ func runAsyncBatch(eng *pv.Engine, schema *pv.Schema, docs []pv.Doc, poll time.D
 		// stderr; clamp like the other duration knobs.
 		poll = 100 * time.Millisecond
 	}
-	job, err := eng.SubmitBatch(schema, docs)
+	job, err := eng.SubmitBatch(schema, docs, false)
 	if err != nil {
 		fmt.Fprintf(stderr, "pvcheck batch: submitting async job: %v\n", err)
 		return 2
 	}
-	// The one-shot CLI collects its own results, so drop the job (and any
-	// spill file under -cache-dir) instead of leaving it to a TTL reaper
+	// The one-shot CLI collects its own results, so drop the job (and its
+	// results file under -cache-dir) instead of leaving it to a TTL reaper
 	// that dies with the process.
 	defer eng.RemoveJob(job.ID())
 	fmt.Fprintf(stderr, "job %s: submitted %d documents\n", job.ID(), len(docs))
@@ -273,8 +273,8 @@ func runAsyncBatch(eng *pv.Engine, schema *pv.Schema, docs []pv.Doc, poll time.D
 		return 2
 	}
 	// Stream the retained NDJSON through a pipe rather than buffering the
-	// whole result set: a spilled multi-gigabyte job must not become the
-	// CLI's peak RSS.
+	// whole result set: a multi-gigabyte job's results on disk must not
+	// become the CLI's peak RSS.
 	pr, pw := io.Pipe()
 	go func() {
 		_, err := job.WriteResults(pw)

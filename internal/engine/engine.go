@@ -164,14 +164,16 @@ type Config struct {
 	// JobQueueDepth bounds async jobs accepted but not yet running; a full
 	// queue rejects submission (ErrJobQueueFull, HTTP 429). <=0 selects 64.
 	JobQueueDepth int
-	// JobResultTTL is how long a finished async job and its buffered
-	// results are retained before reaping (a reaped job answers 404); <=0
-	// selects 15 minutes.
+	// JobResultTTL is how long a finished async job and its results are
+	// retained before reaping (a reaped job answers 404); <=0 selects 15
+	// minutes.
 	JobResultTTL time.Duration
 	// VolatileJobs opts out of job durability: with a CacheDir the engine
-	// defaults to a write-ahead submission log under <CacheDir>/jobs (jobs
-	// survive a restart: finished ones are re-served, interrupted ones
-	// re-run); setting this keeps job state in-process only.
+	// defaults to a write-ahead submission log under <CacheDir>/jobs, with
+	// results written through to <CacheDir>/jobs/results (jobs survive a
+	// restart: finished ones are re-served, interrupted ones re-run);
+	// setting this keeps job state and results in memory, as without a
+	// CacheDir.
 	VolatileJobs bool
 	// JobWALNoSync disables the fsync-on-submit of the job WAL, trading
 	// the machine-crash guarantee for submit latency (a process crash
@@ -194,11 +196,11 @@ type Config struct {
 	// JobStore overrides the job-event store entirely (a custom
 	// jobstore.Store implementation — e.g. a shared store in tests, or a
 	// future database backend). When set, CacheDir/VolatileJobs do not
-	// influence job persistence, but a durable JobStore still requires a
-	// CacheDir: recovered results are re-served from write-through files
-	// under <CacheDir>/jobs/results, and without that directory every
-	// replayed done job would degrade to failed (Open rejects the
-	// combination). The engine owns the store and closes it.
+	// influence job persistence, but the store still requires a CacheDir:
+	// recovered results are re-served from write-through files under
+	// <CacheDir>/jobs/results, and without that directory every replayed
+	// done job would degrade to failed (Open rejects the combination). The
+	// engine owns the store and closes it.
 	JobStore jobstore.Store
 }
 
@@ -265,12 +267,12 @@ func New(cfg Config) *Engine {
 // Open builds an engine, reporting a disk-tier cache directory that cannot
 // be created or opened as an error.
 func Open(cfg Config) (*Engine, error) {
-	if cfg.JobStore != nil && cfg.JobStore.Durable() && cfg.CacheDir == "" {
-		// Fail fast: without the write-through results directory a durable
-		// store's recovery degrades every replayed done job to failed
-		// ("recovered results incomplete") and re-runs interrupted ones
-		// from scratch — durability the caller asked for but would not get.
-		return nil, errors.New("engine: a durable JobStore requires CacheDir (recovered results are re-served from <CacheDir>/jobs/results)")
+	if cfg.JobStore != nil && cfg.CacheDir == "" {
+		// Fail fast: without the write-through results directory a store's
+		// recovery degrades every replayed done job to failed ("recovered
+		// results incomplete") and re-runs interrupted ones from scratch —
+		// durability the caller asked for but would not get.
+		return nil, errors.New("engine: a JobStore requires CacheDir (recovered results are re-served from <CacheDir>/jobs/results)")
 	}
 	w := cfg.Workers
 	if w <= 0 {
@@ -287,22 +289,24 @@ func Open(cfg Config) (*Engine, error) {
 		}
 	}
 	reg := NewShardedRegistry(cfg.CacheSize, cfg.Shards, disk)
-	// Async job results spill next to the schema cache when a disk tier is
-	// configured; memory-only engines buffer results in memory.
-	var spill string
-	if cfg.CacheDir != "" {
-		spill = filepath.Join(cfg.CacheDir, "jobs")
-	}
 	// Job persistence: an explicit JobStore wins; otherwise a disk tier
 	// implies the write-ahead log under <CacheDir>/jobs (unless opted out),
-	// and a memory-only engine keeps the in-process default.
+	// and a memory-only engine keeps job state in the process. Only a
+	// durable engine writes job results to disk — through to
+	// <CacheDir>/jobs/results, where a restart finds them; the rest keep
+	// them in memory, so instances sharing a cache dir never touch each
+	// other's results.
 	store := cfg.JobStore
 	if store == nil && cfg.CacheDir != "" && !cfg.VolatileJobs {
-		ws, err := walstore.Open(spill, walstore.Options{NoSync: cfg.JobWALNoSync, FS: cfg.FS})
+		ws, err := walstore.Open(filepath.Join(cfg.CacheDir, "jobs"), walstore.Options{NoSync: cfg.JobWALNoSync, FS: cfg.FS})
 		if err != nil {
 			return nil, fmt.Errorf("engine: opening job WAL: %w", err)
 		}
 		store = ws
+	}
+	var results string
+	if store != nil {
+		results = filepath.Join(cfg.CacheDir, "jobs", "results")
 	}
 	e := &Engine{
 		store: reg,
@@ -311,7 +315,7 @@ func Open(cfg Config) (*Engine, error) {
 			Workers:    cfg.JobWorkers,
 			QueueDepth: cfg.JobQueueDepth,
 			ResultTTL:  cfg.JobResultTTL,
-			SpillDir:   spill,
+			ResultsDir: results,
 			Store:      store,
 		}),
 		workers:     w,

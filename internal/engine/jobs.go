@@ -21,10 +21,10 @@ import (
 // ones (the end-to-end test pins this), progress advances once per chunk,
 // and cancellation takes effect at chunk boundaries.
 //
-// When the job store is durable, every submission also persists a payload
-// — the documents plus schema references — from which recoverRunner
-// rebuilds the runner on a fresh process: per-document SchemaRefs and the
-// default schema's registry ref resolve through the store (the disk tier
+// On a durable engine every submission also persists a payload — the
+// documents plus schema references — from which recoverRunner rebuilds
+// the runner on a fresh process: per-document SchemaRefs and the default
+// schema's registry ref resolve through the store (the disk tier
 // resurrects compiled schemas across restarts), so a replayed job produces
 // byte-identical verdicts without the submitting process.
 
@@ -62,8 +62,8 @@ type payloadDoc struct {
 }
 
 // encodeJobPayload serializes a submission for the write-ahead log — nil
-// (skip the cost) when the job store is volatile and nothing would replay
-// it anyway.
+// (skip the cost) when the engine has no job store and nothing would
+// replay it anyway.
 func (e *Engine) encodeJobPayload(op string, s *Schema, docs []Doc, diff, withReceipt bool) ([]byte, error) {
 	if !e.jobs.Durable() {
 		return nil, nil
@@ -88,9 +88,9 @@ func (e *Engine) encodeJobPayload(op string, s *Schema, docs []Doc, diff, withRe
 }
 
 // recoverRunner is the jobs.RunnerResolver the engine hands to
-// Manager.Recover: it decodes a persisted payload and rebuilds the same
-// chunk runner Submit would have built, resolving schemas by ref through
-// the (disk-tier-backed) registry. Errors mark the job Failed — a
+// Manager.Recover: it decodes a persisted payload and rebuilds the runner
+// through jobRunner, exactly as Submit built it, resolving schemas by ref
+// through the (disk-tier-backed) registry. Errors mark the job Failed — a
 // terminal answer for pollers — rather than losing it.
 func (e *Engine) recoverRunner(sub jobs.Submission) (jobs.Runner, error) {
 	if len(sub.Payload) == 0 {
@@ -118,87 +118,104 @@ func (e *Engine) recoverRunner(sub jobs.Submission) (jobs.Runner, error) {
 	for i, pd := range p.Docs {
 		docs[i] = Doc{ID: pd.ID, Content: pd.Content, Bytes: pd.Bytes, SchemaRef: pd.Ref}
 	}
-	// Receipt-bearing jobs rebuild their collector too: a recovered job
-	// re-run from input zero commits the same leaves the original would
-	// have, so the replayed receipt root matches a byte-identical re-run.
-	// (A *resumed* job skips its durable chunks; its collector never fills
-	// and no fresh receipt is built — the root persisted with the terminal
-	// event, when one exists, still serves.) Delivery resolves the job
-	// handle by id: recovery registers every job before the worker pool
-	// starts, so the handle exists before any chunk can run.
-	var col *receiptCollector
-	if p.Receipt {
-		col = &receiptCollector{
-			e: e, kind: p.Op, batch: sub.ID,
-			leaves: make([]receipt.Leaf, len(docs)),
-			deliver: func(rec *Receipt) {
-				if j, ok := e.jobs.Get(sub.ID); ok {
-					applyReceipt(j, rec)
-				}
-			},
-		}
-	}
-	switch p.Op {
+	return e.jobRunner(p.Op, def, docs, p.Diff, p.Receipt)
+}
+
+// jobRunner builds the chunk runner of an async job of op ("check" or
+// "complete") over docs — the one construction Submit and recoverRunner
+// share, so a replayed job runs exactly what the original would have.
+// Each call drains docs[lo:hi] through the same CheckBatch/CompleteBatch
+// the synchronous routes use. With withReceipt the runner also commits
+// every verdict and, when the last document lands, attaches the job's
+// receipt, anchored under the job's id, before the job finishes. The
+// manager runs a job's chunks one at a time, so the leaves need no lock.
+// A resumed recovered job skips its durable chunks, never fills its
+// leaves and builds no fresh receipt; the root persisted with its
+// terminal record, when one exists, still serves.
+func (e *Engine) jobRunner(op string, s *Schema, docs []Doc, withDiff, withReceipt bool) (jobs.Runner, error) {
+	var chunk func(lo, hi int, leaves []receipt.Leaf) ([][]byte, error)
+	switch op {
 	case "check":
-		return e.checkRunner(def, docs, col), nil
+		chunk = func(lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+			return e.checkChunk(s, docs, lo, hi, leaves)
+		}
 	case "complete":
-		return e.completeRunner(def, docs, p.Diff, col), nil
-	}
-	return nil, fmt.Errorf("unknown persisted job op %q", p.Op)
-}
-
-// checkRunner builds the chunk runner for an async check job: each call
-// drains docs[lo:hi] through CheckBatch and encodes one verdict line per
-// document. A non-nil collector additionally commits each chunk's leaves
-// toward the job's verdict receipt; the manager runs a job's chunks
-// sequentially on one worker, so the collector is touched by one
-// goroutine at a time.
-func (e *Engine) checkRunner(s *Schema, docs []Doc, col *receiptCollector) jobs.Runner {
-	return func(lo, hi int) ([][]byte, error) {
-		results, _ := e.CheckBatch(s, docs[lo:hi])
-		lines := make([][]byte, len(results))
-		for i := range results {
-			results[i].Index = lo + i
-			b, err := json.Marshal(toJSON(results[i]))
-			if err != nil {
-				return nil, err
-			}
-			lines[i] = b
+		chunk = func(lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+			return e.completeChunk(s, docs, withDiff, lo, hi, leaves)
 		}
-		if col != nil {
-			leaves := make([]receipt.Leaf, len(results))
-			for i := range results {
-				leaves[i] = docLeaf(&docs[lo+i], s, checkVerdict(&results[i]), 0)
-			}
-			col.add(lo, leaves)
+	default:
+		return nil, fmt.Errorf("unknown job op %q", op)
+	}
+	var leaves []receipt.Leaf
+	if withReceipt {
+		leaves = make([]receipt.Leaf, len(docs))
+	}
+	filled := 0
+	return func(j *jobs.Job, lo, hi int) ([][]byte, error) {
+		lines, err := chunk(lo, hi, leaves)
+		if err != nil || leaves == nil {
+			return lines, err
+		}
+		if filled += hi - lo; filled == len(leaves) {
+			e.attachReceipt(j, op, leaves)
 		}
 		return lines, nil
-	}
+	}, nil
 }
 
-// completeRunner builds the chunk runner for an async completion job —
-// the CompleteBatch twin of checkRunner.
-func (e *Engine) completeRunner(s *Schema, docs []Doc, withDiff bool, col *receiptCollector) jobs.Runner {
-	return func(lo, hi int) ([][]byte, error) {
-		results, _ := e.CompleteBatch(s, docs[lo:hi], withDiff)
-		lines := make([][]byte, len(results))
-		for i := range results {
-			results[i].Index = lo + i
-			b, err := json.Marshal(completeToJSON(results[i]))
-			if err != nil {
-				return nil, err
-			}
-			lines[i] = b
+// checkChunk checks docs[lo:hi] and encodes one verdict line per
+// document. A non-nil leaves receives each document's committed leaf at
+// its batch index.
+func (e *Engine) checkChunk(s *Schema, docs []Doc, lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+	results, _ := e.CheckBatch(s, docs[lo:hi])
+	lines := make([][]byte, len(results))
+	for i := range results {
+		results[i].Index = lo + i
+		b, err := json.Marshal(toJSON(results[i]))
+		if err != nil {
+			return nil, err
 		}
-		if col != nil {
-			leaves := make([]receipt.Leaf, len(results))
-			for i := range results {
-				leaves[i] = docLeaf(&docs[lo+i], s, completeVerdict(&results[i]), int64(results[i].Inserted))
-			}
-			col.add(lo, leaves)
+		lines[i] = b
+		if leaves != nil {
+			leaves[lo+i] = docLeaf(&docs[lo+i], s, checkVerdict(&results[i]), 0)
 		}
-		return lines, nil
 	}
+	return lines, nil
+}
+
+// completeChunk is the CompleteBatch twin of checkChunk: one /complete
+// result line per document, and leaves committing the completion verdict
+// and insertion count.
+func (e *Engine) completeChunk(s *Schema, docs []Doc, withDiff bool, lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+	results, _ := e.CompleteBatch(s, docs[lo:hi], withDiff)
+	lines := make([][]byte, len(results))
+	for i := range results {
+		results[i].Index = lo + i
+		b, err := json.Marshal(completeToJSON(results[i]))
+		if err != nil {
+			return nil, err
+		}
+		lines[i] = b
+		if leaves != nil {
+			leaves[lo+i] = docLeaf(&docs[lo+i], s, completeVerdict(&results[i]), int64(results[i].Inserted))
+		}
+	}
+	return lines, nil
+}
+
+// submit enqueues one async job of op over docs: the runner jobRunner
+// builds, plus the payload a restart rebuilds it from (written ahead on a
+// durable engine).
+func (e *Engine) submit(op string, s *Schema, docs []Doc, withDiff, withReceipt bool) (*jobs.Job, error) {
+	run, err := e.jobRunner(op, s, docs, withDiff, withReceipt)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := e.encodeJobPayload(op, s, docs, withDiff, withReceipt)
+	if err != nil {
+		return nil, err
+	}
+	return e.jobs.Submit(op, len(docs), payload, run)
 }
 
 // SubmitCheckBatch enqueues docs for asynchronous checking and returns
@@ -207,28 +224,24 @@ func (e *Engine) completeRunner(s *Schema, docs []Doc, withDiff bool, col *recei
 // SchemaRef routing and lifetime accounting as the synchronous call — and
 // retain one NDJSON verdict line per document. s is the default schema
 // for documents without a SchemaRef and may be nil when every document
-// routes itself. Fails with ErrJobQueueFull when the queue is at
-// capacity. The docs slice is retained until the job reaches a terminal
-// state (it is released at finish, not held for the retention TTL);
-// callers must not mutate it after submission. On a durable store the
-// submission is logged write-ahead (documents and schema refs persisted),
-// so the job survives a process restart.
-func (e *Engine) SubmitCheckBatch(s *Schema, docs []Doc) (*jobs.Job, error) {
-	payload, err := e.encodeJobPayload("check", s, docs, false, false)
-	if err != nil {
-		return nil, err
-	}
-	return e.jobs.Submit("check", len(docs), payload, e.checkRunner(s, docs, nil))
+// routes itself. withReceipt additionally commits every verdict: once the
+// last chunk lands the job carries the receipt (Job.Receipt,
+// Info.ReceiptRoot, GET /jobs/{id}/receipt), anchored under the job's id.
+// The root is persisted with the job's terminal record; proofs live for
+// the job's retention only. Fails with ErrJobQueueFull when the queue is
+// at capacity. The docs slice is retained until the job reaches a
+// terminal state (it is released at finish, not held for the retention
+// TTL); callers must not mutate it after submission. On a durable store
+// the submission is logged write-ahead (documents and schema refs
+// persisted), so the job survives a process restart.
+func (e *Engine) SubmitCheckBatch(s *Schema, docs []Doc, withReceipt bool) (*jobs.Job, error) {
+	return e.submit("check", s, docs, false, withReceipt)
 }
 
 // SubmitCompleteBatch enqueues docs for asynchronous completion — the
 // CompleteBatch twin of SubmitCheckBatch. Each retained NDJSON line is a
 // /complete result object (completed output, inserted count, and the
 // per-insertion records when withDiff is set).
-func (e *Engine) SubmitCompleteBatch(s *Schema, docs []Doc, withDiff bool) (*jobs.Job, error) {
-	payload, err := e.encodeJobPayload("complete", s, docs, withDiff, false)
-	if err != nil {
-		return nil, err
-	}
-	return e.jobs.Submit("complete", len(docs), payload, e.completeRunner(s, docs, withDiff, nil))
+func (e *Engine) SubmitCompleteBatch(s *Schema, docs []Doc, withDiff, withReceipt bool) (*jobs.Job, error) {
+	return e.submit("complete", s, docs, withDiff, withReceipt)
 }

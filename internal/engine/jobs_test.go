@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // Three tiny schemas for mixed-schema job corpora.
@@ -254,7 +256,7 @@ func TestAsyncQueueFull429(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if _, err := e.Jobs().Submit("test", 1, nil, func(lo, hi int) ([][]byte, error) {
+	if _, err := e.Jobs().Submit("test", 1, nil, func(_ *jobs.Job, lo, hi int) ([][]byte, error) {
 		close(started)
 		<-block
 		return [][]byte{[]byte("{}")}, nil
@@ -262,7 +264,7 @@ func TestAsyncQueueFull429(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	if _, err := e.Jobs().Submit("test", 1, nil, func(lo, hi int) ([][]byte, error) {
+	if _, err := e.Jobs().Submit("test", 1, nil, func(_ *jobs.Job, lo, hi int) ([][]byte, error) {
 		return [][]byte{[]byte("{}")}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -295,7 +297,7 @@ func TestAsyncCancelWhileRunning(t *testing.T) {
 	firstChunk := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	j, err := e.Jobs().Submit("check", 200, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := e.Jobs().Submit("check", 200, nil, func(_ *jobs.Job, lo, hi int) ([][]byte, error) {
 		once.Do(func() { close(firstChunk) })
 		<-release
 		lines := make([][]byte, hi-lo)
@@ -473,5 +475,28 @@ func TestAsyncConcurrentHTTP(t *testing.T) {
 			t.Fatalf("jobs never drained: %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAsyncAcceptedStateIsQueued pins the 202 answer to the state Submit
+// accepted the job in: even when a job worker has already finished the
+// job, the submission response says queued (GET /jobs/{id} is where the
+// live state is read).
+func TestAsyncAcceptedStateIsQueued(t *testing.T) {
+	e := New(Config{Workers: 2, JobWorkers: 1})
+	defer e.Close()
+	j, err := e.SubmitCheckBatch(nil, mixedJobCorpus(t, e, 3), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	rec := httptest.NewRecorder()
+	accepted(rec, j)
+	var acc jobAccepted
+	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusAccepted || acc.State != "queued" || acc.JobID != j.ID() || acc.Total != 3 {
+		t.Fatalf("202 for a finished job: %d %+v", rec.Code, acc)
 	}
 }

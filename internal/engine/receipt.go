@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/jobs"
@@ -240,112 +239,18 @@ func (e *Engine) CompleteBatchReceipt(s *Schema, docs []Doc, withDiff bool) ([]C
 	return results, stats, rec, err
 }
 
-// receiptCollector accumulates one async job's leaves across its chunk
-// runner calls and builds the receipt when the last document lands. The
-// manager runs a job's chunks sequentially on one worker, so the
-// collector needs no locking; resumed recovered jobs skip their already
-// durable chunks, never fill completely, and produce no receipt (their
-// persisted root, if any, still serves).
-type receiptCollector struct {
-	e       *Engine
-	kind    string
-	batch   string
-	leaves  []receipt.Leaf
-	filled  int
-	deliver func(*Receipt)
-}
-
-// add records one chunk's leaves and fires the build on completion.
-func (c *receiptCollector) add(lo int, leaves []receipt.Leaf) {
-	copy(c.leaves[lo:], leaves)
-	c.filled += len(leaves)
-	if c.filled != len(c.leaves) {
-		return
-	}
-	rec, err := c.e.buildReceipt(c.kind, c.batch, c.leaves, true)
+// attachReceipt builds an async job's receipt over its committed leaves,
+// anchored under the job's id, and attaches it to the job. A receipt that
+// cannot be built or anchored is dropped rather than failing the job: the
+// verdicts themselves are intact.
+func (e *Engine) attachReceipt(j *jobs.Job, kind string, leaves []receipt.Leaf) {
+	rec, err := e.buildReceipt(kind, j.ID(), leaves, true)
 	if err != nil || rec == nil {
-		// The verdicts themselves are intact; a receipt that cannot anchor
-		// is dropped rather than failing the job.
 		return
 	}
-	c.deliver(rec)
-}
-
-// receiptCell hands a built receipt to its job across the submit race:
-// Submit queues the job before returning, so the runner can deliver
-// before the submitter learns the job handle — whichever of attach and
-// deliver comes second applies the receipt.
-type receiptCell struct {
-	mu  sync.Mutex
-	job *jobs.Job
-	rec *Receipt
-}
-
-// attach binds the job handle (called by the submitter once Submit
-// returns).
-func (c *receiptCell) attach(j *jobs.Job) {
-	c.mu.Lock()
-	c.job = j
-	rec := c.rec
-	c.mu.Unlock()
-	if rec != nil {
-		applyReceipt(j, rec)
-	}
-}
-
-// deliver binds the built receipt (called by the runner's collector).
-func (c *receiptCell) deliver(rec *Receipt) {
-	c.mu.Lock()
-	c.rec = rec
-	j := c.job
-	c.mu.Unlock()
-	if j != nil {
-		applyReceipt(j, rec)
-	}
-}
-
-// applyReceipt encodes the receipt onto the job.
-func applyReceipt(j *jobs.Job, rec *Receipt) {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
 	j.SetReceipt(rec.Root, data)
-}
-
-// SubmitCheckBatchReceipt is SubmitCheckBatch with a verdict receipt: the
-// job's runner additionally commits every verdict, and once the last
-// chunk lands the job carries the receipt (Job.Receipt, Info.ReceiptRoot,
-// GET /jobs/{id}/receipt). The root is persisted with the job's terminal
-// record; proofs live for the job's retention only.
-func (e *Engine) SubmitCheckBatchReceipt(s *Schema, docs []Doc) (*jobs.Job, error) {
-	payload, err := e.encodeJobPayload("check", s, docs, false, true)
-	if err != nil {
-		return nil, err
-	}
-	cell := &receiptCell{}
-	col := &receiptCollector{e: e, kind: "check", leaves: make([]receipt.Leaf, len(docs)), deliver: cell.deliver}
-	j, err := e.jobs.Submit("check", len(docs), payload, e.checkRunner(s, docs, col))
-	if err != nil {
-		return nil, err
-	}
-	cell.attach(j)
-	return j, nil
-}
-
-// SubmitCompleteBatchReceipt is SubmitCompleteBatch with a verdict
-// receipt — the completion twin of SubmitCheckBatchReceipt.
-func (e *Engine) SubmitCompleteBatchReceipt(s *Schema, docs []Doc, withDiff bool) (*jobs.Job, error) {
-	payload, err := e.encodeJobPayload("complete", s, docs, withDiff, true)
-	if err != nil {
-		return nil, err
-	}
-	cell := &receiptCell{}
-	col := &receiptCollector{e: e, kind: "complete", leaves: make([]receipt.Leaf, len(docs)), deliver: cell.deliver}
-	j, err := e.jobs.Submit("complete", len(docs), payload, e.completeRunner(s, docs, withDiff, col))
-	if err != nil {
-		return nil, err
-	}
-	cell.attach(j)
-	return j, nil
 }

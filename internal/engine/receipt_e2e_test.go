@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/receipt"
 )
@@ -426,4 +427,55 @@ func TestMetricsStatsParity(t *testing.T) {
 		t.Fatalf("recovery = %+v (ran %v)", rec, ok)
 	}
 	scrapeParity(t, NewServer(e2), e2.InstanceID())
+}
+
+// TestAsyncReceiptAnchorsJobID pins that an async receipt is anchored
+// under its job's id, both when the job runs live and when a restarted
+// engine recovers it and re-runs it from input zero.
+func TestAsyncReceiptAnchorsJobID(t *testing.T) {
+	dir := t.TempDir()
+	e1 := openDurable(t, dir)
+	h1 := NewServer(e1)
+	docs := mixedJobCorpus(t, e1, 12)
+	live := submitAsync(t, h1, "/batch?receipt=1", docs)
+	if info := pollJob(t, h1, live); info["state"] != "done" {
+		t.Fatalf("live job ended %v", info["state"])
+	}
+	// A job queued behind a blocked job worker never starts; closing the
+	// manager leaves it interrupted in the log, so the restarted engine
+	// re-runs it from scratch.
+	block, started := make(chan struct{}), make(chan struct{})
+	blocker, err := e1.Jobs().Submit("test", 1, nil, func(_ *jobs.Job, lo, hi int) ([][]byte, error) {
+		close(started)
+		<-block
+		return [][]byte{[]byte("{}")}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	parked := submitAsync(t, h1, "/batch?receipt=1", docs)
+	e1.Jobs().Close()
+	close(block)
+	<-blocker.Done()
+	shutdownEngine(t, e1)
+
+	e2 := openDurable(t, dir)
+	defer e2.Close()
+	h2 := NewServer(e2)
+	if info := pollJob(t, h2, parked); info["state"] != "done" || info["recovered"] != true {
+		t.Fatalf("recovered job = %+v", info)
+	}
+	anchors, err := e2.Anchors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(anchors) != 2 {
+		t.Fatalf("anchors = %+v, want the live and the recovered job's", anchors)
+	}
+	for i, id := range []string{live, parked} {
+		if a := anchors[i]; a.Batch != id || a.Kind != "check" || a.Leaves != len(docs) || a.Root != anchors[0].Root {
+			t.Errorf("anchor %d = %+v, want batch %s", i, a, id)
+		}
+	}
 }

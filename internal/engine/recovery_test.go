@@ -3,12 +3,15 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/jobs/walstore"
 )
 
@@ -166,7 +169,7 @@ func TestResultsStateSignaling(t *testing.T) {
 	firstChunk := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	j, err := e.Jobs().Submit("check", 128, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := e.Jobs().Submit("check", 128, nil, func(_ *jobs.Job, lo, hi int) ([][]byte, error) {
 		once.Do(func() { close(firstChunk) })
 		<-release
 		lines := make([][]byte, hi-lo)
@@ -198,7 +201,7 @@ func TestResultsStateSignaling(t *testing.T) {
 	}
 
 	// A failed job signals its state the same way.
-	jf, err := e.Jobs().Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) {
+	jf, err := e.Jobs().Submit("check", 1, nil, func(_ *jobs.Job, lo, hi int) ([][]byte, error) {
 		return nil, context.DeadlineExceeded
 	})
 	if err != nil {
@@ -213,5 +216,70 @@ func TestResultsStateSignaling(t *testing.T) {
 	}
 	if rec = get(t, h, "/jobs/"+jf.ID()+"/results?require=done"); rec.Code != http.StatusConflict {
 		t.Fatalf("strict fetch on failed job: %d", rec.Code)
+	}
+}
+
+// TestSharedCacheDirIsolation pins that a durable and a volatile engine
+// sharing one cache directory never clobber each other's job results: the
+// volatile engine keeps its results in memory and writes nothing under
+// jobs/, and the durable engine's restart — Recover plus the startup
+// sweep of the results directory — leaves both result sets byte-identical.
+func TestSharedCacheDirIsolation(t *testing.T) {
+	dir := t.TempDir()
+	durable := openDurable(t, dir)
+	volatile, err := Open(Config{Workers: 2, JobWorkers: 1, CacheDir: dir, VolatileJobs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer volatile.Close()
+	hd, hv := NewServer(durable), NewServer(volatile)
+	// Enough documents that a volatile engine overflowing a capped memory
+	// buffer to disk would show below.
+	docs := mixedJobCorpus(t, durable, 5000)
+	jobRefs(t, volatile)
+
+	idD := submitAsync(t, hd, "/batch", docs)
+	idV := submitAsync(t, hv, "/batch", docs)
+	pollJob(t, hd, idD)
+	if info := pollJob(t, hv, idV); info["state"] != "done" || info["spilled"] == true {
+		t.Fatalf("volatile job = %+v", info)
+	}
+	wantD := get(t, hd, "/jobs/"+idD+"/results").Body.String()
+	wantV := get(t, hv, "/jobs/"+idV+"/results").Body.String()
+	if wantD != wantV || strings.Count(wantD, "\n") != len(docs) {
+		t.Fatalf("durable and volatile results differ (%d vs %d bytes)", len(wantD), len(wantV))
+	}
+	shutdownEngine(t, durable)
+
+	restarted := openDurable(t, dir)
+	defer restarted.Close()
+	hr := NewServer(restarted)
+	// A fresh submission starts the pool, which runs the startup sweep.
+	pollJob(t, hr, submitAsync(t, hr, "/batch", docs[:5]))
+	if got := get(t, hr, "/jobs/"+idD+"/results").Body.String(); got != wantD {
+		t.Fatalf("durable results changed across the restart (%d vs %d bytes)", len(got), len(wantD))
+	}
+	if got := get(t, hv, "/jobs/"+idV+"/results").Body.String(); got != wantV {
+		t.Fatalf("volatile results changed across the sibling's restart (%d vs %d bytes)", len(got), len(wantV))
+	}
+	// Everything under jobs/ is the durable engine's: its WAL and its
+	// write-through results.
+	root := filepath.Join(dir, "jobs")
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		top, _, _ := strings.Cut(rel, string(filepath.Separator))
+		switch {
+		case strings.Contains(rel, idV):
+			t.Errorf("jobs/ holds a file of the volatile engine's job: %s", rel)
+		case top != "LOCK" && top != "wal" && top != "payload" && top != "results":
+			t.Errorf("unexpected file under jobs/: %s", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

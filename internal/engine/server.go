@@ -207,16 +207,17 @@ func wantReceipt(r *http.Request) bool {
 	return false
 }
 
-// accepted answers an async submission: 202 with the job id and where to
-// poll.
+// accepted answers an async submission: 202 with the job id, where to
+// poll, and the state Submit accepted the job in. That is always queued: a
+// job worker may already have moved the job on, which GET /jobs/{id}
+// reports, but the answer to the submission does not race it.
 func accepted(w http.ResponseWriter, j *jobs.Job) {
 	w.Header().Set("Content-Type", "application/json")
 	loc := "/jobs/" + j.ID()
 	w.Header().Set("Location", loc)
 	w.WriteHeader(http.StatusAccepted)
-	info := j.Info()
 	_ = json.NewEncoder(w).Encode(jobAccepted{
-		JobID: info.ID, State: info.State, Total: info.Total, Location: loc,
+		JobID: j.ID(), State: jobs.Queued.String(), Total: j.Info().Total, Location: loc,
 	})
 }
 
@@ -261,13 +262,7 @@ func NewServer(e *Engine) http.Handler {
 		}
 		withReceipt := wantReceipt(r)
 		if wantAsync(r) {
-			var j *jobs.Job
-			var err error
-			if withReceipt {
-				j, err = e.SubmitCheckBatchReceipt(s, req.Documents)
-			} else {
-				j, err = e.SubmitCheckBatch(s, req.Documents)
-			}
+			j, err := e.SubmitCheckBatch(s, req.Documents, withReceipt)
 			if err != nil {
 				submitError(w, err)
 				return
@@ -316,13 +311,7 @@ func NewServer(e *Engine) http.Handler {
 		withDiff := wantDiff(r) && (req.Diff == nil || *req.Diff)
 		withReceipt := wantReceipt(r)
 		if wantAsync(r) {
-			var j *jobs.Job
-			var err error
-			if withReceipt {
-				j, err = e.SubmitCompleteBatchReceipt(s, req.Documents, withDiff)
-			} else {
-				j, err = e.SubmitCompleteBatch(s, req.Documents, withDiff)
-			}
+			j, err := e.SubmitCompleteBatch(s, req.Documents, withDiff, withReceipt)
 			if err != nil {
 				submitError(w, err)
 				return

@@ -14,7 +14,7 @@ import (
 // The end-to-end crash matrix: a whole manager lifecycle — submit, run to
 // completion, remove, cancel mid-run, shutdown — over a WAL store whose
 // filesystem crashes at every operation. The WAL lives on the fault
-// filesystem; result spill files live on the real one (the manager writes
+// filesystem; result files live on the real one (the manager writes
 // them through package os), which splits the failure like a real machine
 // crash splits it: the log loses its unsynced tail, the results directory
 // keeps whatever the dead process wrote.
@@ -35,10 +35,10 @@ import (
 // crashRound tracks what the workload's manager acknowledged, so the
 // verifier knows which invariants each job owes.
 type crashRound struct {
-	spillDir string // real filesystem: survives the simulated crash
-	doneID   string // ran to completion, never touched again
-	removeID string // completed, then Remove acked true
-	cancelID string // canceled between its first and second chunk
+	resultsDir string // real filesystem: survives the simulated crash
+	doneID     string // ran to completion, never touched again
+	removeID   string // completed, then Remove acked true
+	cancelID   string // canceled between its first and second chunk
 }
 
 func (c *crashRound) workload(fsys *faultfs.FaultFS) error {
@@ -46,13 +46,13 @@ func (c *crashRound) workload(fsys *faultfs.FaultFS) error {
 	if err != nil {
 		return err
 	}
-	m := NewManager(Config{Workers: 2, Chunk: 4, SpillDir: c.spillDir, Store: st})
+	m := NewManager(Config{Workers: 2, Chunk: 4, ResultsDir: c.resultsDir, Store: st})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	defer m.Shutdown(ctx)
 
 	// Job 1: a full clean lifecycle, final chunk partial (total 10, chunk 4).
-	j1, err := m.Submit("check", 10, []byte("crash-payload-1"), func(lo, hi int) ([][]byte, error) {
+	j1, err := m.Submit("check", 10, []byte("crash-payload-1"), func(_ *Job, lo, hi int) ([][]byte, error) {
 		return mkLines(lo, hi), nil
 	})
 	if err != nil {
@@ -63,7 +63,7 @@ func (c *crashRound) workload(fsys *faultfs.FaultFS) error {
 
 	// Job 2: completes, then is removed — its log history retires and its
 	// results file is deleted.
-	j2, err := m.Submit("check", 8, []byte("crash-payload-2"), func(lo, hi int) ([][]byte, error) {
+	j2, err := m.Submit("check", 8, []byte("crash-payload-2"), func(_ *Job, lo, hi int) ([][]byte, error) {
 		return mkLines(lo, hi), nil
 	})
 	if err != nil {
@@ -91,7 +91,7 @@ func (c *crashRound) workload(fsys *faultfs.FaultFS) error {
 			close(proceed)
 		}
 	}()
-	j3, err := m.Submit("check", 12, []byte("crash-payload-3"), func(lo, hi int) ([][]byte, error) {
+	j3, err := m.Submit("check", 12, []byte("crash-payload-3"), func(_ *Job, lo, hi int) ([][]byte, error) {
 		if lo == 0 {
 			close(started)
 			<-proceed
@@ -126,7 +126,7 @@ func (c *crashRound) verify(fsys *faultfs.FaultFS) error {
 	if err != nil {
 		return fmt.Errorf("reopening WAL after crash: %w", err)
 	}
-	m := NewManager(Config{Workers: 2, Chunk: 4, SpillDir: c.spillDir, Store: st})
+	m := NewManager(Config{Workers: 2, Chunk: 4, ResultsDir: c.resultsDir, Store: st})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	defer m.Shutdown(ctx)
@@ -205,7 +205,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func managerRound(t *testing.T) func() harness.Round {
 	return func() harness.Round {
-		c := &crashRound{spillDir: t.TempDir()}
+		c := &crashRound{resultsDir: t.TempDir()}
 		return harness.Round{Workload: c.workload, Verify: c.verify}
 	}
 }

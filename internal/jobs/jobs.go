@@ -1,8 +1,8 @@
 // Package jobs is the async ingest layer's job-queue machinery: a bounded
 // queue of submitted jobs, a worker pool that drains it, a per-job state
 // machine (queued → running → done|failed|canceled), per-job progress
-// counters, and result retention with an in-memory cap, optional disk
-// spill, and TTL-based reaping of finished jobs.
+// counters, and result retention — in memory, or written through to a
+// results directory — with TTL-based reaping of finished jobs.
 //
 // The package is deliberately engine-agnostic: a job is "total inputs plus
 // a Runner that turns a contiguous chunk of them into encoded NDJSON
@@ -13,13 +13,13 @@
 // checks for cancellation between chunks, so a canceled job stops within
 // one chunk's worth of work and keeps the results it already produced.
 //
-// Job state is persisted through a jobstore.Store: every lifecycle
-// transition appends an event, with the Submitted event written ahead of
-// queueing. With a durable store (internal/jobs/walstore) a restarted
+// Job state is persisted through an optional jobstore.Store: every
+// lifecycle transition appends an event, with the Submitted event written
+// ahead of queueing. With a store (internal/jobs/walstore) a restarted
 // manager calls Recover to replay the log — re-serving finished jobs and
 // re-queueing interrupted ones from their last durable chunk boundary —
-// so jobs outlive the process. The default in-memory store
-// (internal/jobs/memstore) preserves the zero-config in-process behavior.
+// so jobs outlive the process. Without one, job state lives and dies with
+// the process.
 package jobs
 
 import (
@@ -32,15 +32,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/jobs/jobstore"
-	"repro/internal/jobs/memstore"
 )
 
 // State is one point in the job lifecycle. The machine is
@@ -100,10 +97,13 @@ func parseState(s string) (State, bool) {
 	return 0, false
 }
 
-// Runner produces the results for one contiguous chunk [lo, hi) of a job's
+// Runner produces the results for one contiguous chunk [lo, hi) of job j's
 // inputs: one encoded NDJSON line per input, in input order. A non-nil
-// error fails the whole job (results of earlier chunks are retained).
-type Runner func(lo, hi int) ([][]byte, error)
+// error fails the whole job (results of earlier chunks are retained). The
+// manager runs a job's chunks one at a time, and the job finishes only
+// after its last chunk returns, so state a runner attaches to j (such as
+// SetReceipt) is in place before the job is terminal.
+type Runner func(j *Job, lo, hi int) ([][]byte, error)
 
 // Submission describes a persisted job submission replayed from the
 // store: the identity and shape of the job plus the submitter-owned
@@ -170,19 +170,10 @@ const (
 	// DefaultChunk is the default number of inputs per Runner call — the
 	// granularity of progress updates and cancellation.
 	DefaultChunk = 64
-	// DefaultBufferedResults is the default per-job count of encoded result
-	// lines held in memory before spilling to disk (when a spill directory
-	// is configured).
-	DefaultBufferedResults = 4096
-	// DefaultSpillOrphanAge is how stale another instance's spill
-	// namespace must be before the startup sweep reclaims it. Live
-	// managers refresh their namespace's mtime from the reaper loop (every
-	// ≤30s), so an hour of staleness means the owner is gone.
-	DefaultSpillOrphanAge = time.Hour
 )
 
 // Config parameterizes a Manager. The zero value selects the defaults
-// above with no disk spill and in-process-only job state.
+// above, with results in memory and in-process-only job state.
 type Config struct {
 	// Workers bounds how many jobs execute concurrently; <=0 selects
 	// DefaultWorkers. Each job's chunks still run through whatever
@@ -193,40 +184,25 @@ type Config struct {
 	// full queue makes Submit fail with ErrQueueFull. <=0 selects
 	// DefaultQueueDepth.
 	QueueDepth int
-	// ResultTTL is how long a finished job (and its buffered results) is
-	// retained before the reaper removes it; <=0 selects DefaultResultTTL.
+	// ResultTTL is how long a finished job (and its results) is retained
+	// before the reaper removes it; <=0 selects DefaultResultTTL.
 	ResultTTL time.Duration
 	// Chunk is the number of inputs per Runner call; <=0 selects
 	// DefaultChunk.
 	Chunk int
-	// BufferedResults caps the encoded result lines a job holds in memory;
-	// past the cap, results spill to a file under SpillDir. <=0 selects
-	// DefaultBufferedResults. Without a SpillDir the buffer simply keeps
-	// growing (bounded by the submitted batch size). Jobs on a durable
-	// store ignore the cap and write results through to disk as produced,
-	// so a restart can re-serve or resume them.
-	BufferedResults int
-	// SpillDir, when non-empty, is the spill root. A manager on a volatile
-	// store writes one NDJSON file per overflowing job under a private
-	// SpillDir/<instance-id> namespace (created lazily, removed at
-	// reap/delete); instance ids — not pids, which containers recycle —
-	// plus an age-based sweep let processes share a root without a new
-	// process destroying a live sibling's files or leaking a dead one's.
-	// A manager on a durable store instead writes every job's results
-	// under SpillDir/results, where a restarted manager finds them.
-	SpillDir string
-	// SpillOrphanAge overrides how stale a foreign spill namespace must be
-	// before the startup sweep removes it; <=0 selects
-	// DefaultSpillOrphanAge.
-	SpillOrphanAge time.Duration
-	// Store is the job-event log. nil selects an in-memory store
-	// (today's zero-config behavior: job state dies with the process).
-	// A durable store — internal/jobs/walstore — makes Submit write-ahead
-	// and Recover meaningful. A durable store requires a SpillDir: results
-	// are re-served and resumed from the write-through files under
-	// SpillDir/results, so without one every recovered done job degrades
-	// to failed ("recovered results incomplete") and interrupted jobs
-	// restart from input zero.
+	// ResultsDir, when non-empty, is where job results live: every job
+	// writes its results through to ResultsDir/<id>.ndjson as they are
+	// produced (the file is removed at reap/delete), which is what lets a
+	// restarted manager re-serve or resume them. Empty keeps every job's
+	// results in memory.
+	ResultsDir string
+	// Store is the job-event log. nil keeps job state in the process: the
+	// manager appends nothing and Recover has nothing to replay. A store —
+	// internal/jobs/walstore — makes Submit write-ahead and Recover
+	// meaningful. It needs a ResultsDir: results are re-served and resumed
+	// from the write-through files, so without one every recovered done
+	// job degrades to failed ("recovered results incomplete") and
+	// interrupted jobs restart from input zero.
 	Store jobstore.Store
 }
 
@@ -244,15 +220,6 @@ func (c *Config) withDefaults() Config {
 	if out.Chunk <= 0 {
 		out.Chunk = DefaultChunk
 	}
-	if out.BufferedResults <= 0 {
-		out.BufferedResults = DefaultBufferedResults
-	}
-	if out.SpillOrphanAge <= 0 {
-		out.SpillOrphanAge = DefaultSpillOrphanAge
-	}
-	if out.Store == nil {
-		out.Store = memstore.New()
-	}
 	return out
 }
 
@@ -261,17 +228,8 @@ func (c *Config) withDefaults() Config {
 // a Manager (every engine carries one) costs nothing until async ingest is
 // actually used. All methods are safe for concurrent use.
 type Manager struct {
-	cfg     Config
-	store   jobstore.Store
-	durable bool
-	// instance is this process's random namespace id ("i-" + 12 hex).
-	instance string
-	// spillDir is this instance's private namespace under cfg.SpillDir
-	// (volatile store only; "" when spilling is disabled).
-	spillDir string
-	// resultsDir is the stable write-through results directory under
-	// cfg.SpillDir (durable store only).
-	resultsDir string
+	cfg   Config
+	store jobstore.Store // nil: nothing is persisted
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals workers: pending grew, or closed
@@ -301,27 +259,18 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:      cfg,
-		store:    cfg.Store,
-		durable:  cfg.Store.Durable(),
-		instance: newInstanceID(),
-		jobs:     map[string]*Job{},
-		stop:     make(chan struct{}),
-	}
-	if cfg.SpillDir != "" {
-		if m.durable {
-			m.resultsDir = filepath.Join(cfg.SpillDir, "results")
-		} else {
-			m.spillDir = filepath.Join(cfg.SpillDir, m.instance)
-		}
+		cfg:   cfg,
+		store: cfg.Store,
+		jobs:  map[string]*Job{},
+		stop:  make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
-// Durable reports whether the manager's store survives the process — i.e.
-// whether submissions are written ahead and Recover can bring jobs back.
-func (m *Manager) Durable() bool { return m.durable }
+// Durable reports whether the manager has a store — i.e. whether
+// submissions are written ahead and Recover can bring jobs back.
+func (m *Manager) Durable() bool { return m.store != nil }
 
 // Close stops the worker pool and the reaper. Queued jobs are finalized
 // as Canceled (their Done channels close — no waiter is left hanging);
@@ -352,9 +301,7 @@ func (m *Manager) Close() {
 		// chunks) or to a concurrent Cancel — either way the job still
 		// terminates. persist=false: a shutdown is not a user cancel; on a
 		// durable store the job must replay as interrupted.
-		if j.cancelQueued(false) {
-			m.canceled.Add(1)
-		}
+		j.cancelQueued(false)
 	}
 	// Release the store once the in-flight jobs have observed the stop
 	// signal and finalized — their terminal appends must not race Close.
@@ -386,75 +333,38 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 
 // closeStore releases the store exactly once.
 func (m *Manager) closeStore() {
-	m.storeOnce.Do(func() { _ = m.store.Close() })
+	m.storeOnce.Do(func() {
+		if m.store != nil {
+			_ = m.store.Close()
+		}
+	})
 }
 
 // append stamps and appends one event, best-effort: transition records
 // after the write-ahead Submitted append must not fail the job over a log
 // hiccup (the in-memory state machine is still authoritative for this
-// process's lifetime).
+// process's lifetime). Without a store it records nothing.
 func (m *Manager) append(ev *jobstore.Event) {
+	if m.store == nil {
+		return
+	}
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
 	_ = m.store.Append(ev)
 }
 
-// startPool sweeps orphaned spill state, then launches the worker pool
-// and the reaper (under m.start).
+// startPool prunes result files a replayed log no longer references,
+// then launches the worker pool and the reaper (under m.start).
 func (m *Manager) startPool() {
 	m.poolStarted.Store(true)
-	m.sweepSpillDir()
+	if m.recoverRan.Load() && m.cfg.ResultsDir != "" {
+		m.sweepResults()
+	}
 	for i := 0; i < m.cfg.Workers; i++ {
 		go m.worker()
 	}
 	go m.reaper()
-}
-
-// sweepSpillDir reclaims spill state orphaned by dead instances: job
-// state a restart cannot reach would otherwise accumulate across
-// restarts. Runs once, at pool start.
-func (m *Manager) sweepSpillDir() {
-	if m.cfg.SpillDir == "" {
-		return
-	}
-	m.sweepNamespaces()
-	if m.durable && m.recoverRan.Load() {
-		m.sweepResults()
-	}
-}
-
-// sweepNamespaces removes foreign per-instance spill namespaces (and
-// legacy pid-keyed ones) that are provably or probably dead. Instance
-// namespaces are reclaimed purely by age: a live owner refreshes its
-// directory mtime from the reaper loop far more often than the orphan
-// age, so staleness means the owner is gone — no pid liveness guesswork,
-// which containers break by recycling pids. Legacy numeric directories
-// (pre-instance-id layout) are removed when their pid is dead or the
-// directory has gone stale; the age fallback is what reclaims them when
-// a recycled pid makes the liveness probe lie.
-func (m *Manager) sweepNamespaces() {
-	ents, err := os.ReadDir(m.cfg.SpillDir)
-	if err != nil {
-		return // no dir yet (or unreadable): nothing to reclaim
-	}
-	cutoff := time.Now().Add(-m.cfg.SpillOrphanAge)
-	self := os.Getpid()
-	for _, ent := range ents {
-		if !ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
-		stale := false
-		if pid, err := strconv.Atoi(name); err == nil {
-			stale = pid != self && (pidDead(pid) || olderThan(ent, cutoff))
-		} else if strings.HasPrefix(name, "i-") && name != m.instance {
-			stale = olderThan(ent, cutoff)
-		}
-		if stale {
-			_ = os.RemoveAll(filepath.Join(m.cfg.SpillDir, name))
-		}
-	}
 }
 
 // sweepResults prunes write-through result files whose job is no longer
@@ -466,7 +376,7 @@ func (m *Manager) sweepNamespaces() {
 // place — the log still retains their histories, and deleting the files
 // would degrade those jobs to failed on the next Recover.
 func (m *Manager) sweepResults() {
-	ents, err := os.ReadDir(m.resultsDir)
+	ents, err := os.ReadDir(m.cfg.ResultsDir)
 	if err != nil {
 		return
 	}
@@ -476,26 +386,9 @@ func (m *Manager) sweepResults() {
 		_, live := m.jobs[id]
 		m.mu.Unlock()
 		if !live {
-			_ = os.Remove(filepath.Join(m.resultsDir, ent.Name()))
+			_ = os.Remove(filepath.Join(m.cfg.ResultsDir, ent.Name()))
 		}
 	}
-}
-
-// olderThan reports whether the entry's mtime is before the cutoff.
-func olderThan(ent os.DirEntry, cutoff time.Time) bool {
-	fi, err := ent.Info()
-	return err == nil && fi.ModTime().Before(cutoff)
-}
-
-// pidDead reports whether no process with the given pid exists anymore.
-// False negatives (a recycled pid) only postpone reclamation until the
-// age-based sweep catches the directory.
-func pidDead(pid int) bool {
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return true
-	}
-	return errors.Is(p.Signal(syscall.Signal(0)), os.ErrProcessDone)
 }
 
 // newID draws a 128-bit random hex job id.
@@ -507,29 +400,17 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// newInstanceID draws the process-lifetime spill namespace id. The "i-"
-// prefix keeps instance directories distinguishable from legacy pid
-// directories and from the fixed "results"/"wal"/"payload" names sharing
-// a durable root.
-func newInstanceID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("jobs: reading random instance id: %v", err))
-	}
-	return "i-" + hex.EncodeToString(b[:])
-}
-
 // Submit enqueues a job over total inputs executed by run, in chunks. The
 // payload is the submitter-owned blob persisted with the submission, from
 // which a RunnerResolver can rebuild the Runner after a restart; nil is
-// fine when the store is volatile (or the job is acceptable to lose).
+// fine without a store (or when the job is acceptable to lose).
 //
 // The submission is written ahead: the store append — durable before
-// return on a durable store — happens before the job becomes visible or
-// runnable, so a crash after Submit returns can never lose the job. It
-// fails with ErrQueueFull when the queue is at capacity and ErrClosed
-// after Close; otherwise the job is Queued and will be claimed by a
-// worker. A zero-input job completes without ever invoking run.
+// return — happens before the job becomes visible or runnable, so a crash
+// after Submit returns can never lose the job. It fails with ErrQueueFull
+// when the queue is at capacity and ErrClosed after Close; otherwise the
+// job is Queued and will be claimed by a worker. A zero-input job
+// completes without ever invoking run.
 func (m *Manager) Submit(kind string, total int, payload []byte, run Runner) (*Job, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -550,8 +431,8 @@ func (m *Manager) Submit(kind string, total int, payload []byte, run Runner) (*J
 	}
 	j.state.Store(int32(Queued))
 	// Reserve the queue slot before the store append so the QueueDepth
-	// bound stays exact, but run the append — an fsync on a durable store
-	// — outside m.mu so it never stalls Get/List/Stats.
+	// bound stays exact, but run the append — an fsync — outside m.mu so
+	// it never stalls Get/List/Stats.
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -564,15 +445,18 @@ func (m *Manager) Submit(kind string, total int, payload []byte, run Runner) (*J
 	}
 	m.reserved++
 	m.mu.Unlock()
-	err := m.store.Append(&jobstore.Event{
-		Type:    jobstore.Submitted,
-		Job:     j.id,
-		Time:    j.created,
-		Kind:    kind,
-		Total:   total,
-		Chunk:   j.chunk,
-		Payload: payload,
-	})
+	var err error
+	if m.store != nil {
+		err = m.store.Append(&jobstore.Event{
+			Type:    jobstore.Submitted,
+			Job:     j.id,
+			Time:    j.created,
+			Kind:    kind,
+			Total:   total,
+			Chunk:   j.chunk,
+			Payload: payload,
+		})
+	}
 	m.mu.Lock()
 	m.reserved--
 	if err != nil {
@@ -604,12 +488,15 @@ func (m *Manager) Submit(kind string, total int, payload []byte, run Runner) (*J
 //
 // Recover must run before the first Submit (it returns
 // ErrRecoverAfterStart otherwise): the startup sweep and id namespace
-// assume replay happens on a quiet manager. On a fresh or volatile store
-// it is a cheap no-op.
+// assume replay happens on a quiet manager. On a fresh store, or without
+// one, it is a cheap no-op.
 func (m *Manager) Recover(resolve RunnerResolver) (RecoveryStats, error) {
 	var stats RecoveryStats
 	if m.poolStarted.Load() {
 		return stats, ErrRecoverAfterStart
+	}
+	if m.store == nil {
+		return stats, nil
 	}
 	// Fold the log into one history per job. Resume decisions trust only
 	// chunk-aligned Progress records (alignedDone/alignedBytes): the final
@@ -794,12 +681,12 @@ func (m *Manager) recoverFinished(j *Job, fin *jobstore.Event) {
 			// results are written before the record, so the file is only
 			// ever longer). Trim to the durable prefix.
 			_ = os.Truncate(path, fin.ResultBytes)
-			j.spillPath = path
+			j.path = path
 			j.resultBytes = fin.ResultBytes
 		case path != "" && err == nil && st != Done:
 			// A failed/canceled job's results were partial anyway; keep the
 			// shorter-than-recorded remnant rather than dropping it.
-			j.spillPath = path
+			j.path = path
 			j.resultBytes = fi.Size()
 		default:
 			if st == Done {
@@ -841,7 +728,7 @@ func (m *Manager) recoverResume(j *Job, done int, resultBytes int64) int {
 			return 0
 		}
 		_ = os.Truncate(path, resultBytes)
-		j.spillPath = path
+		j.path = path
 		j.resultBytes = resultBytes
 	} else {
 		_ = os.Remove(path)
@@ -865,12 +752,12 @@ func (m *Manager) resultsIntact(id string, n int64) bool {
 }
 
 // resultsPath is the write-through results file for a job id ("" when the
-// manager has no durable results directory).
+// manager has no results directory).
 func (m *Manager) resultsPath(id string) string {
-	if m.resultsDir == "" {
+	if m.cfg.ResultsDir == "" {
 		return ""
 	}
-	return filepath.Join(m.resultsDir, id+".ndjson")
+	return filepath.Join(m.cfg.ResultsDir, id+".ndjson")
 }
 
 // firstNonEmpty returns the first non-empty string.
@@ -924,7 +811,7 @@ func (m *Manager) Cancel(id string) (bool, error) {
 }
 
 // Remove drops a finished job from the table right now (freeing its
-// buffered results and spill file, and retiring its log history) — the
+// results, in memory or on disk, and retiring its log history) — the
 // DELETE-a-finished-job semantics. Active jobs are not removable; cancel
 // them first. It reports whether the job was removed.
 func (m *Manager) Remove(id string) bool {
@@ -945,9 +832,6 @@ func (m *Manager) Remove(id string) bool {
 // ErrNotFound reports an unknown (or already reaped) job id — the HTTP
 // layer maps it to 404.
 var ErrNotFound = errors.New("jobs: no such job")
-
-// nl terminates one NDJSON line.
-var nl = []byte{'\n'}
 
 // Reap sweeps finished jobs whose retention TTL has expired, returning how
 // many were removed. The background reaper calls it periodically; tests
@@ -971,9 +855,7 @@ func (m *Manager) Reap() int {
 	return len(expired)
 }
 
-// reaper periodically sweeps expired jobs until Close, and keeps this
-// instance's spill namespace visibly alive (mtime refresh) so sibling
-// sweeps never mistake it for an orphan.
+// reaper periodically sweeps expired jobs until Close.
 func (m *Manager) reaper() {
 	period := m.cfg.ResultTTL / 4
 	if period < 100*time.Millisecond {
@@ -990,20 +872,7 @@ func (m *Manager) reaper() {
 			return
 		case <-t.C:
 			m.Reap()
-			m.touchSpillDir()
 		}
-	}
-}
-
-// touchSpillDir refreshes the instance namespace's mtime — the liveness
-// signal the age-based orphan sweep keys on.
-func (m *Manager) touchSpillDir() {
-	if m.spillDir == "" {
-		return
-	}
-	if _, err := os.Stat(m.spillDir); err == nil {
-		now := time.Now()
-		_ = os.Chtimes(m.spillDir, now, now)
 	}
 }
 
@@ -1034,8 +903,8 @@ func (m *Manager) worker() {
 
 // runJob drives one job through its chunks (from its resume offset, for a
 // recovered job), honoring cancellation between chunks and recording the
-// terminal state exactly once — in memory and, for transitions a restart
-// must know about, in the store.
+// terminal state exactly once — in memory, in the lifetime counters and,
+// for transitions a restart must know about, in the store.
 func (m *Manager) runJob(j *Job) {
 	now := time.Now()
 	j.mu.Lock()
@@ -1062,21 +931,19 @@ func (m *Manager) runJob(j *Job) {
 			// is not — the job must replay as interrupted so a restarted
 			// manager finishes it.
 			j.finish(Canceled, "", reqCancel)
-			m.canceled.Add(1)
 			return
 		}
 		hi := lo + j.chunk
 		if hi > j.total {
 			hi = j.total
 		}
-		lines, err := j.run(lo, hi)
+		lines, err := j.run(j, lo, hi)
 		var rb int64
 		if err == nil {
 			rb, err = j.appendResults(lines)
 		}
 		if err != nil {
 			j.finish(Failed, err.Error(), true)
-			m.failed.Add(1)
 			return
 		}
 		done := j.doneDocs.Add(int64(hi - lo))
@@ -1095,11 +962,24 @@ func (m *Manager) runJob(j *Job) {
 	// racing the line below can still lose, which the API documents.
 	if j.cancelReq.Load() {
 		j.finish(Canceled, "", true)
-		m.canceled.Add(1)
 		return
 	}
 	j.finish(Done, "", true)
-	m.completed.Add(1)
+}
+
+// countTerminal bumps the lifetime counter of terminal state s. Callers
+// hold the j.mu that publishes s and count before storing it, so no
+// reader — through Info, State or Done — sees a terminal state its
+// counter does not yet include.
+func (m *Manager) countTerminal(s State) {
+	switch s {
+	case Done:
+		m.completed.Add(1)
+	case Failed:
+		m.failed.Add(1)
+	case Canceled:
+		m.canceled.Add(1)
+	}
 }
 
 // Stats is a snapshot of the manager's gauges and lifetime counters —
@@ -1137,7 +1017,7 @@ func (m *Manager) Stats() Stats {
 		Recovered:  m.recovered.Load(),
 		Workers:    m.cfg.Workers,
 		QueueDepth: m.cfg.QueueDepth,
-		Durable:    m.durable,
+		Durable:    m.store != nil,
 	}
 	m.mu.Lock()
 	s.Retained = len(m.jobs)
@@ -1174,14 +1054,17 @@ type Job struct {
 	created   time.Time
 	done      chan struct{} // closed exactly once, on reaching a terminal state
 
-	mu          sync.Mutex
-	started     *time.Time
-	finished    *time.Time
-	errMsg      string
-	lines       [][]byte // buffered encoded NDJSON result lines
+	mu       sync.Mutex
+	started  *time.Time
+	finished *time.Time
+	errMsg   string
+	// Results live in exactly one place: mem (one NDJSON buffer per chunk)
+	// without a results directory, else the file at path, appended through
+	// file while the job runs.
+	mem         [][]byte
+	path        string
+	file        *os.File
 	resultBytes int64
-	spillPath   string
-	spill       *os.File // append handle while spilled; nil otherwise
 	// receiptRoot/receiptData carry the job's verdict receipt when the
 	// submitter attached one: the root record (persisted in the terminal
 	// event, so it survives restarts) and the full receipt document with
@@ -1211,27 +1094,28 @@ func (j *Job) Cancel() bool {
 	if j.cancelQueued(true) {
 		// The job never ran; free its queue slot so canceled-while-queued
 		// jobs don't count against QueueDepth. (If a worker claimed it
-		// first, it is already out of pending and the worker's own
-		// queued→running CAS won instead.)
+		// first, it is already out of pending and the worker's claim won
+		// instead.)
 		j.m.removePending(j)
-		j.m.canceled.Add(1)
 		return true
 	}
 	return State(j.state.Load()) == Running
 }
 
-// cancelQueued finalizes a still-queued job as Canceled — the CAS
-// arbitrates against a worker's queued→running claim. persist records the
-// cancellation in the store (true for a user cancel, false for a shutdown,
-// where the job must replay as interrupted). Reports whether this call won
-// the job.
+// cancelQueued finalizes a still-queued job as Canceled — j.mu arbitrates
+// against a worker's queued→running claim, which commits under the same
+// lock. persist records the cancellation in the store (true for a user
+// cancel, false for a shutdown, where the job must replay as interrupted).
+// Reports whether this call won the job.
 func (j *Job) cancelQueued(persist bool) bool {
 	now := time.Now()
 	j.mu.Lock()
-	if !j.state.CompareAndSwap(int32(Queued), int32(Canceled)) {
+	if State(j.state.Load()) != Queued {
 		j.mu.Unlock()
 		return false
 	}
+	j.m.countTerminal(Canceled)
+	j.state.Store(int32(Canceled))
 	j.finished = &now
 	j.run = nil
 	done := j.doneDocs.Load()
@@ -1262,24 +1146,25 @@ func (m *Manager) removePending(j *Job) {
 	m.mu.Unlock()
 }
 
-// finish moves a running job to its terminal state: state, finish time
-// and error commit under one j.mu hold (Info can never see a terminal
-// state without finishedAt), the spill append handle closes, the Runner
-// closure is released (it pins the submitted inputs — for the engine, the
-// whole docs slice — which must not stay live for the retention TTL), and
-// Done is signaled. persist appends the terminal record to the store;
-// shutdown-interrupted jobs pass false so a durable log replays them as
-// interrupted instead of canceled.
+// finish moves a running job to its terminal state: the lifetime counter,
+// state, finish time and error commit under one j.mu hold (Info can never
+// see a terminal state without finishedAt), the results file handle
+// closes, the Runner closure is released (it pins the submitted inputs —
+// for the engine, the whole docs slice — which must not stay live for the
+// retention TTL), and Done is signaled. persist appends the terminal
+// record to the store; shutdown-interrupted jobs pass false so a durable
+// log replays them as interrupted instead of canceled.
 func (j *Job) finish(s State, errMsg string, persist bool) {
 	now := time.Now()
 	j.mu.Lock()
+	j.m.countTerminal(s)
 	j.state.Store(int32(s))
 	j.finished = &now
 	j.errMsg = errMsg
 	j.run = nil
-	if j.spill != nil {
-		_ = j.spill.Close()
-		j.spill = nil
+	if j.file != nil {
+		_ = j.file.Close()
+		j.file = nil
 	}
 	done := j.doneDocs.Load()
 	rb := j.resultBytes
@@ -1300,33 +1185,15 @@ func (j *Job) finish(s State, errMsg string, persist bool) {
 }
 
 // SetReceipt attaches the job's verdict receipt: the root record and the
-// encoded receipt document (root + per-document inclusion proofs). Called
-// by the submitter's runner when the last chunk completes. The root rides
-// the terminal store record; when the receipt arrives after the job
-// already finalized (the runner can outrun the Submit return), a
-// supplementary terminal record re-persists the state with the root so a
-// restart still recovers it.
+// encoded receipt document (root + per-document inclusion proofs). The
+// submitter's runner calls it from the job's last chunk, before the job
+// finishes, so the root rides the terminal store record and a restart
+// recovers it.
 func (j *Job) SetReceipt(root string, data []byte) {
 	j.mu.Lock()
 	j.receiptRoot = root
 	j.receiptData = data
-	finished := j.finished != nil
-	st := State(j.state.Load())
-	done := j.doneDocs.Load()
-	rb := j.resultBytes
-	errMsg := j.errMsg
 	j.mu.Unlock()
-	if finished && st.Finished() {
-		j.m.append(&jobstore.Event{
-			Type:        jobstore.Finished,
-			Job:         j.id,
-			Done:        int(done),
-			ResultBytes: rb,
-			State:       st.String(),
-			Error:       errMsg,
-			Root:        root,
-		})
-	}
 }
 
 // Receipt returns the job's verdict receipt: the root record and the full
@@ -1350,85 +1217,56 @@ func (j *Job) finishedAt() (time.Time, bool) {
 	return *j.finished, true
 }
 
-// appendResults retains one chunk's encoded lines and returns the total
-// retained bytes. Jobs on a durable store write through to their results
-// file as produced (so a restart can re-serve or resume them); volatile
-// jobs buffer in memory up to the configured cap, then (with a spill
-// directory) spill to a per-job NDJSON file.
+// appendResults retains one chunk's encoded lines, newline-terminated, and
+// returns the total retained bytes. With a results directory the chunk is
+// written through to the job's file in one write — so a restart can
+// re-serve or resume it — otherwise it is kept in memory.
 func (j *Job) appendResults(lines [][]byte) (int64, error) {
+	n := 0
+	for _, ln := range lines {
+		n += len(ln) + 1
+	}
+	buf := make([]byte, 0, n)
+	for _, ln := range lines {
+		buf = append(append(buf, ln...), '\n')
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.spill == nil {
-		writeThrough := j.m.durable && j.m.resultsDir != ""
-		overflow := j.spillPath == "" && j.m.spillDir != "" &&
-			len(j.lines)+len(lines) > j.m.cfg.BufferedResults
-		if writeThrough || overflow {
-			if err := j.openSpillLocked(); err != nil {
+	if j.m.cfg.ResultsDir == "" {
+		j.mem = append(j.mem, buf)
+	} else {
+		if j.file == nil {
+			if err := j.openResultsLocked(); err != nil {
 				return j.resultBytes, err
 			}
 		}
-	}
-	if j.spill != nil {
-		for _, ln := range lines {
-			if _, err := j.spill.Write(ln); err != nil {
-				return j.resultBytes, fmt.Errorf("jobs: writing spill file: %w", err)
-			}
-			if _, err := j.spill.Write(nl); err != nil {
-				return j.resultBytes, fmt.Errorf("jobs: writing spill file: %w", err)
-			}
-			j.resultBytes += int64(len(ln)) + 1
+		if _, err := j.file.Write(buf); err != nil {
+			return j.resultBytes, fmt.Errorf("jobs: writing results file: %w", err)
 		}
-		return j.resultBytes, nil
 	}
-	for _, ln := range lines {
-		j.lines = append(j.lines, ln)
-		j.resultBytes += int64(len(ln)) + 1
-	}
+	j.resultBytes += int64(n)
 	return j.resultBytes, nil
 }
 
-// openSpillLocked opens the job's on-disk results file and keeps the
-// handle for subsequent appends: a fresh file absorbing the buffered
-// lines in the usual case, or — for a recovered job resuming past durable
-// results — an append handle onto the already-truncated prefix. Called
+// openResultsLocked opens the job's results file for appending: a fresh
+// file in the usual case, or — for a recovered job resuming past durable
+// results — the prefix recovery already validated and truncated. Called
 // with j.mu held.
-func (j *Job) openSpillLocked() error {
-	if j.spillPath != "" {
-		// Recovery validated and truncated the file; continue where the
-		// durable prefix ends.
-		f, err := os.OpenFile(j.spillPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("jobs: reopening results file: %w", err)
+func (j *Job) openResultsLocked() error {
+	flag := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	if j.path == "" {
+		if err := os.MkdirAll(j.m.cfg.ResultsDir, 0o755); err != nil {
+			return fmt.Errorf("jobs: creating results dir: %w", err)
 		}
-		j.spill = f
-		return nil
+		flag |= os.O_TRUNC
 	}
-	dir := j.m.spillDir
-	if j.m.durable {
-		dir = j.m.resultsDir
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("jobs: creating spill dir: %w", err)
-	}
-	path := filepath.Join(dir, j.id+".ndjson")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	path := j.m.resultsPath(j.id)
+	f, err := os.OpenFile(path, flag, 0o644)
 	if err != nil {
-		return fmt.Errorf("jobs: creating spill file: %w", err)
+		return fmt.Errorf("jobs: opening results file: %w", err)
 	}
-	for _, ln := range j.lines {
-		_, err := f.Write(ln)
-		if err == nil {
-			_, err = f.Write(nl)
-		}
-		if err != nil {
-			_ = f.Close()
-			_ = os.Remove(path)
-			return fmt.Errorf("jobs: writing spill file: %w", err)
-		}
-	}
-	j.lines = nil
-	j.spillPath = path
-	j.spill = f
+	j.path = path
+	j.file = f
 	return nil
 }
 
@@ -1441,11 +1279,11 @@ func (j *Job) WriteResults(w io.Writer) (int64, error) {
 	// slow client connection, and holding the lock across the copy would
 	// stall the job's appends and every Info poll.
 	j.mu.Lock()
-	if j.spillPath != "" {
-		f, err := os.Open(j.spillPath)
+	if j.path != "" {
+		f, err := os.Open(j.path)
 		if err != nil {
 			j.mu.Unlock()
-			return 0, fmt.Errorf("jobs: reading spill file: %w", err)
+			return 0, fmt.Errorf("jobs: reading results file: %w", err)
 		}
 		// Bound the copy at the bytes appended so far: a concurrent append
 		// can grow the file, but never past the resultBytes snapshot.
@@ -1454,18 +1292,13 @@ func (j *Job) WriteResults(w io.Writer) (int64, error) {
 		defer f.Close()
 		return io.Copy(w, io.LimitReader(f, limit))
 	}
-	// The lines slice is append-only while the job lives (cleanup replaces
-	// the header, never the retained elements), so the snapshot stays valid.
-	lines := j.lines
+	// mem is append-only while the job lives (cleanup replaces the header,
+	// never the retained elements), so the snapshot stays valid.
+	chunks := j.mem
 	j.mu.Unlock()
 	var n int64
-	for _, ln := range lines {
-		wn, err := w.Write(ln)
-		n += int64(wn)
-		if err != nil {
-			return n, err
-		}
-		wn, err = w.Write(nl)
+	for _, c := range chunks {
+		wn, err := w.Write(c)
 		n += int64(wn)
 		if err != nil {
 			return n, err
@@ -1478,14 +1311,14 @@ func (j *Job) WriteResults(w io.Writer) (int64, error) {
 func (j *Job) cleanup() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.lines = nil
-	if j.spill != nil {
-		_ = j.spill.Close()
-		j.spill = nil
+	j.mem = nil
+	if j.file != nil {
+		_ = j.file.Close()
+		j.file = nil
 	}
-	if j.spillPath != "" {
-		_ = os.Remove(j.spillPath)
-		j.spillPath = ""
+	if j.path != "" {
+		_ = os.Remove(j.path)
+		j.path = ""
 	}
 }
 
@@ -1502,7 +1335,8 @@ type Info struct {
 	Total int `json:"total"`
 	Done  int `json:"done"`
 	// ResultBytes is the size of the retained NDJSON results; Spilled
-	// reports whether they live on disk.
+	// reports whether they live on disk (written through to the results
+	// directory).
 	ResultBytes int64 `json:"resultBytes"`
 	Spilled     bool  `json:"spilled,omitempty"`
 	// Recovered marks a job replayed from the durable store by a restarted
@@ -1537,7 +1371,7 @@ func (j *Job) Info() Info {
 	info.State = State(j.state.Load()).String()
 	info.Done = int(j.doneDocs.Load())
 	info.ResultBytes = j.resultBytes
-	info.Spilled = j.spillPath != ""
+	info.Spilled = j.path != ""
 	info.ReceiptRoot = j.receiptRoot
 	info.Error = j.errMsg
 	if j.started != nil {

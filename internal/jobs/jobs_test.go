@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +14,7 @@ import (
 // countingRunner returns one line per input, "line-<index>".
 func countingRunner(t *testing.T) Runner {
 	t.Helper()
-	return func(lo, hi int) ([][]byte, error) {
+	return func(_ *Job, lo, hi int) ([][]byte, error) {
 		lines := make([][]byte, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			lines = append(lines, []byte(fmt.Sprintf("line-%d", i)))
@@ -71,7 +69,7 @@ func TestJobLifecycle(t *testing.T) {
 func TestZeroInputJobCompletes(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
-	j, err := m.Submit("check", 0, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := m.Submit("check", 0, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		t.Error("runner invoked for a zero-input job")
 		return nil, nil
 	})
@@ -90,7 +88,7 @@ func TestQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	// Job A occupies the single worker.
-	a, err := m.Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) {
+	a, err := m.Submit("check", 1, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		close(started)
 		<-block
 		return [][]byte{[]byte("a")}, nil
@@ -119,7 +117,7 @@ func TestCancelQueued(t *testing.T) {
 	defer m.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
-	a, err := m.Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) {
+	a, err := m.Submit("check", 1, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		close(started)
 		<-block
 		return [][]byte{[]byte("a")}, nil
@@ -152,7 +150,7 @@ func TestCancelWhileRunning(t *testing.T) {
 	firstChunk := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	j, err := m.Submit("check", 10, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := m.Submit("check", 10, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		once.Do(func() { close(firstChunk) })
 		<-release
 		lines := make([][]byte, hi-lo)
@@ -194,11 +192,11 @@ func TestCancelWhileRunning(t *testing.T) {
 func TestFailedJobKeepsEarlierChunks(t *testing.T) {
 	m := NewManager(Config{Workers: 1, Chunk: 3})
 	defer m.Close()
-	j, err := m.Submit("check", 9, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := m.Submit("check", 9, nil, func(j *Job, lo, hi int) ([][]byte, error) {
 		if lo >= 3 {
 			return nil, fmt.Errorf("boom at %d", lo)
 		}
-		return countingRunner(t)(lo, hi)
+		return countingRunner(t)(j, lo, hi)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +208,12 @@ func TestFailedJobKeepsEarlierChunks(t *testing.T) {
 	}
 }
 
+// TestSpillToDisk pins the write-through sink: with a ResultsDir, a job's
+// results live in <ResultsDir>/<id>.ndjson, serve byte-exact, and go away
+// with the job.
 func TestSpillToDisk(t *testing.T) {
 	dir := t.TempDir()
-	m := NewManager(Config{Workers: 1, Chunk: 4, BufferedResults: 6, SpillDir: dir})
+	m := NewManager(Config{Workers: 1, Chunk: 4, ResultsDir: dir})
 	defer m.Close()
 	j, err := m.Submit("check", 25, nil, countingRunner(t))
 	if err != nil {
@@ -223,7 +224,7 @@ func TestSpillToDisk(t *testing.T) {
 	if !info.Spilled {
 		t.Fatalf("job did not spill: %+v", info)
 	}
-	spill := filepath.Join(m.spillDir, j.ID()+".ndjson")
+	spill := filepath.Join(dir, j.ID()+".ndjson")
 	if _, err := os.Stat(spill); err != nil {
 		t.Fatalf("spill file: %v", err)
 	}
@@ -279,7 +280,7 @@ func TestReapSkipsActiveJobs(t *testing.T) {
 	defer m.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
-	j, err := m.Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := m.Submit("check", 1, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		close(started)
 		<-block
 		return [][]byte{[]byte("x")}, nil
@@ -304,7 +305,7 @@ func TestCanceledQueuedJobFreesSlot(t *testing.T) {
 	defer m.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
-	a, err := m.Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) {
+	a, err := m.Submit("check", 1, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		close(started)
 		<-block
 		return [][]byte{[]byte("a")}, nil
@@ -335,89 +336,13 @@ func TestCanceledQueuedJobFreesSlot(t *testing.T) {
 	}
 }
 
-// TestSweepOrphanedSpillFiles pins that a dead process's spill namespace
-// is reclaimed when the pool starts, while a live process's namespace
-// (here: our own pid's) survives the sweep.
-func TestSweepOrphanedSpillFiles(t *testing.T) {
-	dir := t.TempDir()
-	// A pid that is definitely dead: run a child to completion.
-	cmd := exec.Command("true")
-	if err := cmd.Run(); err != nil {
-		t.Skipf("cannot run child process: %v", err)
-	}
-	deadDir := filepath.Join(dir, strconv.Itoa(cmd.Process.Pid))
-	orphan := filepath.Join(deadDir, "deadbeefdeadbeefdeadbeefdeadbeef.ndjson")
-	if err := os.MkdirAll(deadDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(orphan, []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A live sibling's namespace (our own pid stands in for it).
-	liveDir := filepath.Join(dir, strconv.Itoa(os.Getpid()))
-	live := filepath.Join(liveDir, "cafebabecafebabecafebabecafebabe.ndjson")
-	if err := os.MkdirAll(liveDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(live, []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A legacy pid namespace whose pid was recycled by a live process (pid
-	// 1 stands in) but whose directory has gone stale: the age fallback —
-	// the fix for the pid-recycling leak — must reclaim it even though the
-	// liveness probe says "alive".
-	stale := time.Now().Add(-2 * time.Hour)
-	recycledDir := filepath.Join(dir, "1")
-	if err := os.MkdirAll(recycledDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(recycledDir, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	// Instance namespaces: a stale one is an orphan, a fresh one is a live
-	// sibling mid-heartbeat.
-	staleInst := filepath.Join(dir, "i-000000000001")
-	if err := os.MkdirAll(staleInst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(staleInst, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	freshInst := filepath.Join(dir, "i-000000000002")
-	if err := os.MkdirAll(freshInst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	m := NewManager(Config{Workers: 1, SpillDir: dir})
-	defer m.Close()
-	j, err := m.Submit("check", 1, nil, countingRunner(t)) // first Submit starts the pool
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, j)
-	if _, err := os.Stat(deadDir); !os.IsNotExist(err) {
-		t.Fatalf("dead process's spill namespace survived the sweep: %v", err)
-	}
-	if _, err := os.Stat(live); err != nil {
-		t.Fatalf("live process's spill file was swept: %v", err)
-	}
-	if _, err := os.Stat(recycledDir); !os.IsNotExist(err) {
-		t.Fatalf("stale recycled-pid namespace survived the sweep: %v", err)
-	}
-	if _, err := os.Stat(staleInst); !os.IsNotExist(err) {
-		t.Fatalf("stale instance namespace survived the sweep: %v", err)
-	}
-	if _, err := os.Stat(freshInst); err != nil {
-		t.Fatalf("fresh sibling instance namespace was swept: %v", err)
-	}
-}
-
 // TestCloseFinalizesQueuedJobs pins that Close cancels still-queued jobs
 // so their Done channels close and no waiter hangs.
 func TestCloseFinalizesQueuedJobs(t *testing.T) {
 	m := NewManager(Config{Workers: 1, QueueDepth: 4})
 	block := make(chan struct{})
 	started := make(chan struct{})
-	a, err := m.Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) {
+	a, err := m.Submit("check", 1, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		close(started)
 		<-block
 		return [][]byte{[]byte("a")}, nil
@@ -511,5 +436,24 @@ func TestConcurrentSubmitCancelPoll(t *testing.T) {
 	}
 	if st.Completed+st.Canceled+st.Failed != jobs {
 		t.Fatalf("terminal counts %d+%d+%d != %d", st.Completed, st.Canceled, st.Failed, jobs)
+	}
+}
+
+// TestTerminalCountedBeforeVisible pins that a job's lifetime counter
+// moves before its terminal state is visible: on a WAL-backed manager,
+// whose terminal append would widen any gap between the two, every
+// <-Done() already finds the job in Stats().Completed.
+func TestTerminalCountedBeforeVisible(t *testing.T) {
+	m := durableManager(t, t.TempDir(), 4)
+	defer m.Close()
+	for i := 1; i <= 300; i++ {
+		j, err := m.Submit("check", 1, nil, countingRunner(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if got := m.Stats().Completed; got != int64(i) {
+			t.Fatalf("job %d is done but Completed = %d", i, got)
+		}
 	}
 }

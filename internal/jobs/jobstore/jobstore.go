@@ -7,11 +7,10 @@
 // state no longer dies with the process.
 //
 // The interface is deliberately backend-shaped rather than file-shaped:
-// the two in-tree implementations are a local-disk write-ahead log
-// (internal/jobs/walstore) and an in-memory store preserving the
-// zero-config behavior (internal/jobs/memstore), and the same event
-// vocabulary maps onto a Postgres table or an object-store log without
-// changing the manager.
+// the in-tree implementation is a local-disk write-ahead log
+// (internal/jobs/walstore), and the same event vocabulary maps onto a
+// Postgres table or an object-store log without changing the manager. A
+// manager without a store persists nothing.
 package jobstore
 
 import "time"
@@ -87,25 +86,23 @@ type Event struct {
 	Root string `json:"root,omitempty"`
 }
 
-// Store is an append-only event log with replay. Implementations must be
-// safe for concurrent Append calls; Replay and Close are called without
-// concurrent Appends (replay happens before the manager starts accepting
-// submissions, Close after it stops).
+// Store is a durable append-only event log with replay: a manager that has
+// one writes submissions ahead and brings jobs back after a restart.
+// Implementations must be safe for concurrent Append calls; Replay and
+// Close are called without concurrent Appends (replay happens before the
+// manager starts accepting submissions, Close after it stops).
 type Store interface {
-	// Append records one event. For durable stores, a Submitted event must
-	// be durable (synced) when Append returns — it is the write-ahead
-	// guarantee the job layer's restart story rests on. An Append error on
-	// submission fails the submission; errors on later transitions are
-	// best-effort (the manager proceeds in memory).
+	// Append records one event. A Submitted event must be durable (synced,
+	// unless the backend was configured to skip syncs) when Append returns
+	// — it is the write-ahead guarantee the job layer's restart story
+	// rests on. An Append error on submission fails the submission; errors
+	// on later transitions are best-effort (the manager proceeds in
+	// memory).
 	Append(ev *Event) error
 	// Replay invokes fn for every retained event, in append order,
 	// skipping jobs whose history was Removed. A non-nil error from fn
 	// aborts the replay and is returned.
 	Replay(fn func(ev *Event) error) error
-	// Durable reports whether the store survives the process (and
-	// therefore whether submitters should build recovery payloads and the
-	// manager should persist results for re-serving after a restart).
-	Durable() bool
 	// Close releases the store. Appends after Close fail.
 	Close() error
 }

@@ -41,7 +41,7 @@ func openWAL(t *testing.T, dir string) *walstore.Store {
 // durableManager builds a manager over a fresh WAL store rooted at dir.
 func durableManager(t *testing.T, dir string, chunk int) *Manager {
 	t.Helper()
-	return NewManager(Config{Workers: 1, Chunk: chunk, SpillDir: dir, Store: openWAL(t, dir)})
+	return NewManager(Config{Workers: 1, Chunk: chunk, ResultsDir: filepath.Join(dir, "results"), Store: openWAL(t, dir)})
 }
 
 // mkLines is the deterministic result generator shared by original runs,
@@ -75,7 +75,7 @@ func (r *resolveReal) resolve(sub Submission) (Runner, error) {
 	r.mu.Lock()
 	r.subs = append(r.subs, sub)
 	r.mu.Unlock()
-	return func(lo, hi int) ([][]byte, error) {
+	return func(_ *Job, lo, hi int) ([][]byte, error) {
 		r.mu.Lock()
 		r.los = append(r.los, lo)
 		r.mu.Unlock()
@@ -100,7 +100,7 @@ func TestRecoverBeforeFirstChunk(t *testing.T) {
 	m1 := durableManager(t, dir, 4)
 	gate := make(chan struct{})
 	defer func() { close(gate); m1.Close() }()
-	j1, err := m1.Submit("check", 10, []byte("payload-1"), func(lo, hi int) ([][]byte, error) {
+	j1, err := m1.Submit("check", 10, []byte("payload-1"), func(_ *Job, lo, hi int) ([][]byte, error) {
 		<-gate // the "crash" lands before the first chunk produces anything
 		return nil, errors.New("aborted by test")
 	})
@@ -147,7 +147,7 @@ func TestRecoverMidJobResumes(t *testing.T) {
 	m1 := durableManager(t, dir, 4)
 	gate := make(chan struct{})
 	defer func() { close(gate); m1.Close() }()
-	j1, err := m1.Submit("check", 10, []byte("payload-1"), func(lo, hi int) ([][]byte, error) {
+	j1, err := m1.Submit("check", 10, []byte("payload-1"), func(_ *Job, lo, hi int) ([][]byte, error) {
 		if lo >= 4 {
 			<-gate // the "crash" lands mid-job, after chunk [0,4) is durable
 			return nil, errors.New("aborted by test")
@@ -205,7 +205,7 @@ func TestRecoverMidJobResumes(t *testing.T) {
 func TestRecoverFinishedJobIsReserved(t *testing.T) {
 	dir := t.TempDir()
 	m1 := durableManager(t, dir, 4)
-	j1, err := m1.Submit("check", 10, []byte("payload-1"), func(lo, hi int) ([][]byte, error) {
+	j1, err := m1.Submit("check", 10, []byte("payload-1"), func(_ *Job, lo, hi int) ([][]byte, error) {
 		return mkLines(lo, hi), nil
 	})
 	if err != nil {
@@ -280,7 +280,7 @@ func TestRecoverUnresolvableJobFails(t *testing.T) {
 	m1 := durableManager(t, dir, 4)
 	gate := make(chan struct{})
 	defer func() { close(gate); m1.Close() }()
-	j1, err := m1.Submit("check", 10, nil, func(lo, hi int) ([][]byte, error) {
+	j1, err := m1.Submit("check", 10, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		<-gate
 		return nil, errors.New("aborted by test")
 	})
@@ -470,7 +470,7 @@ func TestRecoverFinalPartialChunkWithoutResultsReruns(t *testing.T) {
 func TestSweepWaitsForRecover(t *testing.T) {
 	dir := t.TempDir()
 	m1 := durableManager(t, dir, 4)
-	j1, err := m1.Submit("check", 8, nil, func(lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
+	j1, err := m1.Submit("check", 8, nil, func(_ *Job, lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestSweepWaitsForRecover(t *testing.T) {
 	}
 	// Second incarnation skips Recover and submits directly.
 	m2 := durableManager(t, dir, 4)
-	j2, err := m2.Submit("check", 4, nil, func(lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
+	j2, err := m2.Submit("check", 4, nil, func(_ *Job, lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestRecoverAfterSubmitRejected(t *testing.T) {
 	dir := t.TempDir()
 	m := durableManager(t, dir, 4)
 	defer m.Close()
-	j, err := m.Submit("check", 1, nil, func(lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
+	j, err := m.Submit("check", 1, nil, func(_ *Job, lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +546,11 @@ func TestRecoverAfterSubmitRejected(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
 	st := openWAL(t, dir)
-	m := NewManager(Config{Workers: 1, Chunk: 4, SpillDir: dir, Store: st})
+	m := NewManager(Config{Workers: 1, Chunk: 4, ResultsDir: filepath.Join(dir, "results"), Store: st})
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
-	j, err := m.Submit("check", 4, nil, func(lo, hi int) ([][]byte, error) {
+	j, err := m.Submit("check", 4, nil, func(_ *Job, lo, hi int) ([][]byte, error) {
 		once.Do(func() { close(started) })
 		<-release
 		return mkLines(lo, hi), nil
@@ -584,7 +584,7 @@ func TestShutdownDrains(t *testing.T) {
 func TestConcurrentSubmitThenReplay(t *testing.T) {
 	dir := t.TempDir()
 	st := openWAL(t, dir)
-	m1 := NewManager(Config{Workers: 4, QueueDepth: 256, Chunk: 4, SpillDir: dir, Store: st})
+	m1 := NewManager(Config{Workers: 4, QueueDepth: 256, Chunk: 4, ResultsDir: filepath.Join(dir, "results"), Store: st})
 	const goroutines, perG = 8, 8
 	var wg sync.WaitGroup
 	ids := make([][]string, goroutines)
@@ -594,7 +594,7 @@ func TestConcurrentSubmitThenReplay(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				j, err := m1.Submit("check", 8, []byte(fmt.Sprintf("p-%d-%d", g, i)),
-					func(lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
+					func(_ *Job, lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -613,7 +613,7 @@ func TestConcurrentSubmitThenReplay(t *testing.T) {
 	m2 := durableManager(t, dir, 4)
 	defer m2.Close()
 	stats, err := m2.Recover(func(sub Submission) (Runner, error) {
-		return func(lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil }, nil
+		return func(_ *Job, lo, hi int) ([][]byte, error) { return mkLines(lo, hi), nil }, nil
 	})
 	if err != nil {
 		t.Fatal(err)

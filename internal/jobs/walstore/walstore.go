@@ -575,9 +575,6 @@ func (s *Store) Replay(fn func(ev *jobstore.Event) error) error {
 	return nil
 }
 
-// Durable reports true: the log survives the process.
-func (s *Store) Durable() bool { return true }
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

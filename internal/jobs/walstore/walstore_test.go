@@ -254,7 +254,4 @@ func TestAppendAfterClose(t *testing.T) {
 	if err := s.Append(&jobstore.Event{Type: jobstore.Submitted, Job: "a"}); err != ErrClosed {
 		t.Fatalf("append after close = %v, want ErrClosed", err)
 	}
-	if !s.Durable() {
-		t.Fatal("walstore must report durable")
-	}
 }

@@ -489,13 +489,15 @@ type EngineConfig struct {
 	// JobQueueDepth bounds async jobs accepted but not yet running; a full
 	// queue makes submission fail with ErrJobQueueFull. <=0 selects 64.
 	JobQueueDepth int
-	// JobResultTTL is how long a finished async job and its buffered
-	// results are retained before reaping; <=0 selects 15 minutes.
+	// JobResultTTL is how long a finished async job and its results are
+	// retained before reaping; <=0 selects 15 minutes.
 	JobResultTTL time.Duration
-	// VolatileJobs keeps async jobs in memory even when SchemaCacheDir is
-	// set. By default a disk-backed engine records every submission in a
-	// write-ahead log under <SchemaCacheDir>/jobs, so a restarted engine
-	// re-serves finished jobs and re-runs interrupted ones.
+	// VolatileJobs keeps async jobs — state and results — in memory even
+	// when SchemaCacheDir is set. By default a disk-backed engine records
+	// every submission in a write-ahead log under <SchemaCacheDir>/jobs and
+	// writes results through to <SchemaCacheDir>/jobs/results, so a
+	// restarted engine re-serves finished jobs and re-runs interrupted
+	// ones.
 	VolatileJobs bool
 	// JobWALNoSync skips the per-submission fsync of the job write-ahead
 	// log: faster accepts, and a process kill still loses nothing — only a
@@ -683,19 +685,23 @@ var ErrJobNotFound = jobs.ErrNotFound
 // CheckBatch, with identical per-document verdicts. Poll Job.Info (or wait
 // on Job.Done) for progress; stream the verdicts with Job.WriteResults
 // once it finishes. s is the default schema for documents without a
-// SchemaRef and may be nil when every document routes itself. Fails with
+// SchemaRef and may be nil when every document routes itself. withReceipt
+// also commits every verdict: once the job finishes, Job.Receipt carries
+// the full receipt (anchored under the job's id on a disk-backed engine)
+// and the root is persisted with the job's terminal record. Fails with
 // ErrJobQueueFull when the queue is at capacity. The docs slice is
 // retained until the job reaches a terminal state (then released, not
 // held for the retention TTL); do not mutate it after submission.
-func (e *Engine) SubmitBatch(s *Schema, docs []Doc) (*Job, error) {
-	return e.e.SubmitCheckBatch(engSchema(s), docs)
+func (e *Engine) SubmitBatch(s *Schema, docs []Doc, withReceipt bool) (*Job, error) {
+	return e.e.SubmitCheckBatch(engSchema(s), docs, withReceipt)
 }
 
 // SubmitCompleteBatch enqueues docs for asynchronous completion — the
 // async twin of CompleteBatch. Each retained NDJSON line is a /complete
-// result object.
-func (e *Engine) SubmitCompleteBatch(s *Schema, docs []Doc, withDiff bool) (*Job, error) {
-	return e.e.SubmitCompleteBatch(engSchema(s), docs, withDiff)
+// result object; withDiff and withReceipt act as on CompleteBatch and
+// SubmitBatch.
+func (e *Engine) SubmitCompleteBatch(s *Schema, docs []Doc, withDiff, withReceipt bool) (*Job, error) {
+	return e.e.SubmitCompleteBatch(engSchema(s), docs, withDiff, withReceipt)
 }
 
 // Job returns a submitted job by id, while it is retained (finished jobs
@@ -710,9 +716,10 @@ func (e *Engine) JobList() []JobInfo { return e.e.Jobs().List() }
 // return ErrJobNotFound.
 func (e *Engine) CancelJob(id string) (bool, error) { return e.e.Jobs().Cancel(id) }
 
-// RemoveJob drops a finished job right now — freeing its buffered results
-// and spill file without waiting for the TTL reaper. Active jobs are not
-// removable (cancel first); it reports whether the job was removed.
+// RemoveJob drops a finished job right now — freeing its results (in
+// memory, or its results file on a durable engine) without waiting for
+// the TTL reaper. Active jobs are not removable (cancel first); it
+// reports whether the job was removed.
 func (e *Engine) RemoveJob(id string) bool { return e.e.Jobs().Remove(id) }
 
 // JobStats snapshots the job queue's gauges and lifetime counters.
@@ -789,19 +796,6 @@ func (e *Engine) CheckBatchReceipt(s *Schema, docs []Doc) ([]BatchResult, BatchS
 // completion twin of CheckBatchReceipt.
 func (e *Engine) CompleteBatchReceipt(s *Schema, docs []Doc, withDiff bool) ([]CompleteResult, BatchStats, *Receipt, error) {
 	return e.e.CompleteBatchReceipt(engSchema(s), docs, withDiff)
-}
-
-// SubmitBatchReceipt is SubmitBatch with a verdict receipt: once the job
-// finishes, Job.Receipt carries the full receipt and the root is
-// persisted with the job's terminal record.
-func (e *Engine) SubmitBatchReceipt(s *Schema, docs []Doc) (*Job, error) {
-	return e.e.SubmitCheckBatchReceipt(engSchema(s), docs)
-}
-
-// SubmitCompleteBatchReceipt is SubmitCompleteBatch with a verdict
-// receipt — the completion twin of SubmitBatchReceipt.
-func (e *Engine) SubmitCompleteBatchReceipt(s *Schema, docs []Doc, withDiff bool) (*Job, error) {
-	return e.e.SubmitCompleteBatchReceipt(engSchema(s), docs, withDiff)
 }
 
 // ReceiptAnchors lists every receipt root the engine (and predecessors on

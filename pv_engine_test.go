@@ -138,7 +138,7 @@ func TestEngineSubmitBatch(t *testing.T) {
 		}
 		docs[i] = Doc{ID: fmt.Sprintf("d%d", i), Content: content}
 	}
-	job, err := e.SubmitBatch(schema, docs)
+	job, err := e.SubmitBatch(schema, docs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
