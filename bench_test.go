@@ -1,8 +1,9 @@
 package pv
 
-// testing.B benchmarks, one family per EXPERIMENTS.md table (X1-X6). The
-// cmd/pvbench tool prints the same series as aligned tables; these benches
-// expose them to `go test -bench` with allocation tracking.
+// testing.B benchmarks, one family per experiment table X1-X6 of
+// internal/bench. The cmd/pvbench tool prints the same series as aligned
+// tables; these benches expose them to `go test -bench` with allocation
+// tracking.
 
 import (
 	"fmt"

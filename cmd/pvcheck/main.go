@@ -16,11 +16,8 @@
 // root or a trusted -root override.
 //
 // The batch form fans a directory of documents out over the concurrent
-// checking engine (see -workers); with -async it submits the corpus as one
-// job on the engine's async queue instead and polls it to completion
-// (progress every -poll interval) — the CLI twin of pvserve's
-// POST /batch?async=1. The complete form rewrites potentially valid
-// documents into valid ones, printing the completed document, the
+// checking engine (see -workers). The complete form rewrites potentially
+// valid documents into valid ones, printing the completed document, the
 // insertion records (-diff), or rewriting files in place (-in-place).
 //
 // Exit status: 0 when every document is potentially valid, 1 when some

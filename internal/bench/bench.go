@@ -1,45 +1,32 @@
-// Package bench implements the experiment harness: one function per
-// experiment (X1-X7 and X9-X15), each regenerating the corresponding
-// table. The paper (ICDE 2006) has no empirical tables — its evaluation is
-// analytical — so X1-X6 measure the paper's complexity claims: linearity
-// in document size (Theorem 4), the impracticality of generic Earley
-// parsing on G' (Section 3.3), the k^D depth factor for PV-strong
-// recursive DTDs, and the O(1) incremental update checks (Theorem 2,
-// Proposition 3). X7 and X9-X13 measure the service layer: checking
-// throughput vs workers, completion throughput vs workers,
-// the sharded two-tier schema store (lock-stripe scaling + disk-cache
-// cold start), the async job-queue ingest (submit latency + job
-// throughput vs the synchronous batch), the job write-ahead log
-// (submit latency across in-memory / unsynced-WAL / fsynced-WAL stores),
-// and the bounded-memory streaming checker (chunked sliding window vs
-// whole-buffer throughput and peak heap).
+// Package bench implements the paper-reproduction experiments X1-X6, one
+// function per table. The paper (ICDE 2006) has no empirical tables — its
+// evaluation is analytical — so the tables measure its complexity claims:
+// linearity in document size (Theorem 4), the impracticality of generic
+// Earley parsing on G' (Section 3.3), the k^D depth factor for PV-strong
+// recursive DTDs, the cost of the incremental update checks (Theorem 2,
+// Proposition 3), and the closure of valid documents under tag stripping
+// (Theorem 2). Experiments lists them once, for cmd/pvbench and the tests.
+// The service layer is measured end to end by the servebench module.
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/earley"
-	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/grammar"
-	"repro/internal/jobs"
 	"repro/internal/validator"
 )
 
 // Table is one experiment's output: a header and rows of cells, renderable
-// as an aligned text table or as JSON (the bench/*.json artifacts).
+// as an aligned text table or as JSON.
 type Table struct {
 	Name    string     `json:"name"`
 	Caption string     `json:"caption"`
@@ -413,811 +400,16 @@ func StripClosure(fractions []float64, trials int, budget time.Duration) *Table 
 	return t
 }
 
-// Throughput is experiment X7 (the concurrent engine): batch-checking
-// documents/sec and MB/sec as the worker count grows, over a mixed corpus
-// (valid, tag-stripped and corrupted play documents) — the scale-out story
-// the engine exists for. Speedup is relative to the first worker count.
-// On a single-CPU host the column stays flat; the experiment still reports
-// the scaling honestly.
-func Throughput(workerCounts []int, corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(4))
-	docs := make([]engine.Doc, corpusSize)
-	var corpusBytes int64
-	for i := range docs {
-		doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 3})
-		switch i % 3 {
-		case 1:
-			gen.Strip(rng, doc, 0.3)
-		case 2:
-			gen.Corrupt(rng, d, doc)
-		}
-		docs[i] = engine.Doc{ID: fmt.Sprint(i), Content: doc.String()}
-		corpusBytes += int64(len(docs[i].Content))
-	}
-	t := &Table{
-		Name:    "throughput",
-		Caption: "X7 / engine — batch checking throughput vs worker count (mixed play corpus)",
-		Header:  []string{"workers", "corpus_docs", "batches", "docs_per_sec", "mb_per_sec", "speedup"},
-	}
-	var base float64
-	for _, w := range workerCounts {
-		e := engine.New(engine.Config{Workers: w})
-		s, err := e.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-		if err != nil {
-			panic(err)
-		}
-		e.CheckBatch(s, docs) // warm up (pools, page cache)
-		batches := 0
-		start := time.Now()
-		for time.Since(start) < budget {
-			if _, stats := e.CheckBatch(s, docs); stats.Malformed != 0 {
-				panic("play corpus contains malformed documents")
-			}
-			batches++
-		}
-		elapsed := time.Since(start)
-		dps := float64(batches*len(docs)) / elapsed.Seconds()
-		mbps := float64(batches) * float64(corpusBytes) / (1 << 20) / elapsed.Seconds()
-		if base == 0 {
-			base = dps
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(w), fmt.Sprint(len(docs)), fmt.Sprint(batches),
-			fmt.Sprintf("%.0f", dps), fmt.Sprintf("%.2f", mbps),
-			fmt.Sprintf("%.2fx", dps/base),
-		})
-	}
-	return t
+// Experiment is one table of the harness: the name cmd/pvbench selects it
+// by (equal to its Table's Name) and the call that regenerates it.
+type Experiment struct {
+	Name string
+	Run  func() *Table
 }
 
-// CompletionThroughput is experiment X9 (the completion service): batched
-// completion of a tag-stripped play corpus as the worker count grows — the
-// repair-firehose workload CompleteBatch exists for. Three quarters of the
-// corpus needs real insertions; one quarter is already valid and rides the
-// validity fast path. The inserted-per-batch column is constant across
-// worker counts (the differential tests pin worker-pool completions to the
-// sequential results); speedup is relative to the first worker count.
-func CompletionThroughput(workerCounts []int, corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(9))
-	docs := make([]engine.Doc, corpusSize)
-	var corpusBytes int64
-	for i := range docs {
-		doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 7, MaxRepeat: 2})
-		if i%4 != 0 {
-			gen.Strip(rng, doc, 0.3)
-		}
-		docs[i] = engine.Doc{ID: fmt.Sprint(i), Content: doc.String()}
-		corpusBytes += int64(len(docs[i].Content))
-	}
-	t := &Table{
-		Name:    "completion",
-		Caption: "X9 / completion service — batched completion throughput vs worker count (tag-stripped play corpus)",
-		Header: []string{"workers", "corpus_docs", "batches", "docs_per_sec", "mb_per_sec",
-			"inserted_per_batch", "already_valid", "speedup"},
-	}
-	var base float64
-	for _, w := range workerCounts {
-		e := engine.New(engine.Config{Workers: w})
-		s, err := e.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-		if err != nil {
-			panic(err)
-		}
-		var inserted int64
-		var alreadyValid int
-		if _, stats := e.CompleteBatch(s, docs, true); stats.Malformed != 0 || stats.PotentiallyValid != corpusSize {
-			panic("completion corpus must be fully completable")
-		} // warm up (pools, completer memos)
-		batches := 0
-		start := time.Now()
-		for time.Since(start) < budget || batches == 0 {
-			_, stats := e.CompleteBatch(s, docs, true)
-			inserted = stats.Inserted
-			alreadyValid = stats.Valid
-			batches++
-		}
-		elapsed := time.Since(start)
-		dps := float64(batches*len(docs)) / elapsed.Seconds()
-		mbps := float64(batches) * float64(corpusBytes) / (1 << 20) / elapsed.Seconds()
-		if base == 0 {
-			base = dps
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(w), fmt.Sprint(len(docs)), fmt.Sprint(batches),
-			fmt.Sprintf("%.0f", dps), fmt.Sprintf("%.2f", mbps),
-			fmt.Sprint(inserted), fmt.Sprint(alreadyValid),
-			fmt.Sprintf("%.2fx", dps/base),
-		})
-	}
-	return t
-}
-
-// SchemaStore is experiment X10 (the sharded two-tier schema store). Part
-// (a): store operation throughput (cache-hit Compile + ResolveRef from 8
-// goroutines — the pure lock-stripe scaling the shards exist for) and
-// mixed-schema CheckBatch throughput (every document routed by schemaRef)
-// as the shard count grows, with background goroutines hammering the store
-// with concurrent schema registration during the batch runs; speedups are
-// relative to shards=1 (the single-mutex configuration), so the batch
-// column doubles as the no-regression-at-one-shard guard. Part (b):
-// cold-start cost of compiling the schema population from source versus
-// rehydrating it from a warm disk cache (the disk_loads column shows the
-// warm start compiling nothing).
-func SchemaStore(shardCounts []int, schemaCount, corpusSize int, budget time.Duration) *Table {
-	rng := rand.New(rand.NewSource(10))
-	srcs := make([]string, schemaCount)
-	dtds := make([]*dtd.DTD, schemaCount)
-	for i := range srcs {
-		dtds[i] = gen.RandDTD(rng, gen.DTDOptions{Elements: 12 + i%8, MaxChildren: 4})
-		srcs[i] = dtds[i].String()
-	}
-	// Resolve the content-derived refs once (identical for every engine).
-	refEngine := engine.New(engine.Config{})
-	refs := make([]string, schemaCount)
-	for i, src := range srcs {
-		s, err := refEngine.Compile(engine.DTDSource, src, "e0", engine.CompileOptions{})
-		if err != nil {
-			panic(err)
-		}
-		refs[i] = s.Ref[:16]
-	}
-	docs := make([]engine.Doc, corpusSize)
-	var corpusBytes int64
-	for j := range docs {
-		i := j % schemaCount
-		doc := gen.GenValid(rng, dtds[i], "e0", gen.DocOptions{MaxDepth: 6, MaxRepeat: 3})
-		docs[j] = engine.Doc{ID: fmt.Sprint(j), Content: doc.String(), SchemaRef: refs[i]}
-		corpusBytes += int64(len(docs[j].Content))
-	}
-
-	t := &Table{
-		Name: "schemastore",
-		Caption: fmt.Sprintf("X10 / sharded two-tier schema store — %d-schema store-op and routed-batch throughput vs shards under concurrent registration, plus cold start vs warm disk cache",
-			schemaCount),
-		Header: []string{"config", "store_ops_per_sec", "store_speedup", "docs_per_sec", "mb_per_sec", "batch_speedup", "compiles", "disk_loads", "cold_start_ms"},
-	}
-
-	var opsBase, base float64
-	for _, shards := range shardCounts {
-		e := engine.New(engine.Config{Workers: 4, Shards: shards})
-		for i, src := range srcs {
-			if _, err := e.Compile(engine.DTDSource, src, "e0", engine.CompileOptions{}); err != nil {
-				panic(fmt.Sprintf("schema %d: %v", i, err))
-			}
-		}
-		// Store-op throughput: 8 goroutines resolving refs (the hottest
-		// store op: every routed document or micro-batch pays one) against
-		// the warm store — the path the lock stripes exist to scale.
-		var ops atomic.Int64
-		opsStop := make(chan struct{})
-		var opsWG sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			opsWG.Add(1)
-			go func(g int) {
-				defer opsWG.Done()
-				n := int64(0)
-				for i := g; ; i++ {
-					select {
-					case <-opsStop:
-						ops.Add(n)
-						return
-					default:
-						if _, err := e.Registry().ResolveRef(refs[i%schemaCount]); err != nil {
-							panic(err)
-						}
-						n++
-					}
-				}
-			}(g)
-		}
-		opsStart := time.Now()
-		time.Sleep(budget)
-		close(opsStop)
-		opsWG.Wait()
-		opsPerSec := float64(ops.Load()) / time.Since(opsStart).Seconds()
-		if opsBase == 0 {
-			opsBase = opsPerSec
-		}
-		// Background registration traffic: re-Compile (cache-hit) loops that
-		// contend on the store's stripes exactly like clients resending
-		// schemas with every request.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-						src := srcs[i%schemaCount]
-						if _, err := e.Compile(engine.DTDSource, src, "e0", engine.CompileOptions{}); err != nil {
-							panic(err)
-						}
-					}
-				}
-			}(g)
-		}
-		if _, stats := e.CheckBatch(nil, docs); stats.RoutingErrors != 0 || stats.Malformed != 0 {
-			panic("X10 corpus must route and parse cleanly")
-		} // warm up (pools, routing table)
-		batches := 0
-		start := time.Now()
-		for time.Since(start) < budget || batches == 0 {
-			if _, stats := e.CheckBatch(nil, docs); stats.RoutingErrors != 0 {
-				panic("routing errors mid-benchmark")
-			}
-			batches++
-		}
-		elapsed := time.Since(start)
-		close(stop)
-		wg.Wait()
-		dps := float64(batches*len(docs)) / elapsed.Seconds()
-		mbps := float64(batches) * float64(corpusBytes) / (1 << 20) / elapsed.Seconds()
-		if base == 0 {
-			base = dps
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("shards=%d", shards),
-			fmt.Sprintf("%.0f", opsPerSec), fmt.Sprintf("%.2fx", opsPerSec/opsBase),
-			fmt.Sprintf("%.0f", dps), fmt.Sprintf("%.2f", mbps), fmt.Sprintf("%.2fx", dps/base),
-			"-", "-", "-",
-		})
-	}
-
-	// Part (b): cold start from source vs warm disk cache.
-	compileAll := func(e *engine.Engine) time.Duration {
-		start := time.Now()
-		for _, src := range srcs {
-			if _, err := e.Compile(engine.DTDSource, src, "e0", engine.CompileOptions{}); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start)
-	}
-	cold := engine.New(engine.Config{Workers: 4})
-	coldElapsed := compileAll(cold)
-	coldStats := cold.Store().Stats()
-
-	dir, err := os.MkdirTemp("", "pv-x10-cache-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	// VolatileJobs: only the schema tier is measured here, and the seed
-	// engine stays open next to the warm one — the job WAL's single-writer
-	// lock would refuse the second Open.
-	seed, err := engine.Open(engine.Config{Workers: 4, CacheDir: dir, VolatileJobs: true})
-	if err != nil {
-		panic(err)
-	}
-	compileAll(seed) // populate the disk tier
-	warm, err := engine.Open(engine.Config{Workers: 4, CacheDir: dir, VolatileJobs: true})
-	if err != nil {
-		panic(err)
-	}
-	warmElapsed := compileAll(warm)
-	warmStats := warm.Store().Stats()
-	if warmStats.Compiles != 0 {
-		panic(fmt.Sprintf("warm start compiled %d schemas, want 0", warmStats.Compiles))
-	}
-
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
-	t.Rows = append(t.Rows,
-		[]string{"coldstart/compile", "-", "-", "-", "-", "1.00x",
-			fmt.Sprint(coldStats.Compiles), fmt.Sprint(coldStats.DiskLoads), ms(coldElapsed)},
-		[]string{"coldstart/warmdisk", "-", "-", "-", "-",
-			fmt.Sprintf("%.2fx", float64(coldElapsed)/float64(warmElapsed)),
-			fmt.Sprint(warmStats.Compiles), fmt.Sprint(warmStats.DiskLoads), ms(warmElapsed)},
-	)
-	return t
-}
-
-// AsyncIngest is experiment X11 (the async job-queue ingest): submit
-// latency and end-to-end throughput of the job path (SubmitCheckBatch →
-// poll → results, the machinery behind POST /batch?async=1) versus the
-// synchronous CheckBatch at equal worker counts, over the X7 mixed play
-// corpus. Submit latency is what an HTTP client pays before its 202 —
-// near-constant and tiny, independent of corpus size, which is the point
-// of async ingest: arrival is decoupled from verdict production. The
-// end-to-end column shows what the decoupling costs: job chunking adds
-// bounded overhead over the synchronous batch (the async_vs_sync ratio).
-func AsyncIngest(workerCounts []int, corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(11))
-	docs := make([]engine.Doc, corpusSize)
-	var corpusBytes int64
-	for i := range docs {
-		doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 3})
-		switch i % 3 {
-		case 1:
-			gen.Strip(rng, doc, 0.3)
-		case 2:
-			gen.Corrupt(rng, d, doc)
-		}
-		docs[i] = engine.Doc{ID: fmt.Sprint(i), Content: doc.String()}
-		corpusBytes += int64(len(docs[i].Content))
-	}
-	t := &Table{
-		Name:    "asyncingest",
-		Caption: "X11 / async ingest — job submit latency and end-to-end async throughput vs synchronous CheckBatch (mixed play corpus)",
-		Header: []string{"workers", "corpus_docs", "submit_ns", "sync_docs_per_sec",
-			"async_docs_per_sec", "async_mb_per_sec", "async_vs_sync"},
-	}
-	for _, w := range workerCounts {
-		e := engine.New(engine.Config{Workers: w, JobWorkers: 2, JobQueueDepth: 16})
-		s, err := e.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-		if err != nil {
-			panic(err)
-		}
-		e.CheckBatch(s, docs) // warm up (pools, page cache)
-
-		// Synchronous baseline at this worker count.
-		syncBatches := 0
-		start := time.Now()
-		for time.Since(start) < budget || syncBatches == 0 {
-			if _, stats := e.CheckBatch(s, docs); stats.Malformed != 0 {
-				panic("play corpus contains malformed documents")
-			}
-			syncBatches++
-		}
-		syncDps := float64(syncBatches*len(docs)) / time.Since(start).Seconds()
-
-		// Async path: submit latency is measured alone; the wait to Done
-		// makes the loop's wall clock the end-to-end throughput. Finished
-		// jobs are removed immediately so retention never skews the loop.
-		var submitNs int64
-		asyncRuns := 0
-		start = time.Now()
-		for time.Since(start) < budget || asyncRuns == 0 {
-			t0 := time.Now()
-			job, err := e.SubmitCheckBatch(s, docs, false)
-			if err != nil {
-				panic(err)
-			}
-			submitNs += time.Since(t0).Nanoseconds()
-			<-job.Done()
-			if job.State() != jobs.Done {
-				panic(fmt.Sprintf("async job ended %v", job.State()))
-			}
-			e.Jobs().Remove(job.ID())
-			asyncRuns++
-		}
-		asyncElapsed := time.Since(start)
-		asyncDps := float64(asyncRuns*len(docs)) / asyncElapsed.Seconds()
-		asyncMBps := float64(asyncRuns) * float64(corpusBytes) / (1 << 20) / asyncElapsed.Seconds()
-		e.Close()
-
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(w), fmt.Sprint(len(docs)),
-			fmt.Sprint(submitNs / int64(asyncRuns)),
-			fmt.Sprintf("%.0f", syncDps), fmt.Sprintf("%.0f", asyncDps),
-			fmt.Sprintf("%.2f", asyncMBps),
-			fmt.Sprintf("%.2fx", asyncDps/syncDps),
-		})
-	}
-	return t
-}
-
-// Durability is experiment X12 (durable jobs): async submit latency and
-// end-to-end job throughput across the three job-store modes — in-memory
-// (the zero-config default), write-ahead log without the per-submit fsync,
-// and the WAL with fsync-on-submit (the disk-backed default). The fsync is
-// the price of a crash-safe 202: a submission is on disk before the client
-// hears "accepted", so a killed process re-runs it on restart. The
-// unsynced WAL shows what that fsync costs in isolation — it still
-// survives a process kill (the page cache outlives the process), only a
-// machine crash can drop its tail.
-func Durability(corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(12))
-	docs := make([]engine.Doc, corpusSize)
-	for i := range docs {
-		doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 3})
-		if i%3 == 1 {
-			gen.Strip(rng, doc, 0.3)
-		}
-		docs[i] = engine.Doc{ID: fmt.Sprint(i), Content: doc.String()}
-	}
-	t := &Table{
-		Name: "durability",
-		Caption: "X12 / durable jobs — async submit latency and job throughput " +
-			"across job-store modes (in-memory, WAL unsynced, WAL fsync-on-submit)",
-		Header: []string{"store", "corpus_docs", "jobs", "submit_us",
-			"docs_per_sec", "submit_vs_mem"},
-	}
-	modes := []struct {
-		name         string
-		volatileJobs bool
-		noSync       bool
-	}{
-		{"mem", true, false},
-		{"wal-nosync", false, true},
-		{"wal-fsync", false, false},
-	}
-	var memSubmitUs float64
-	for _, m := range modes {
-		dir, err := os.MkdirTemp("", "pvbench-x12-*")
-		if err != nil {
-			panic(err)
-		}
-		// Every mode gets the same cache dir treatment so only the job
-		// store varies; the schema disk tier is constant.
-		e, err := engine.Open(engine.Config{
-			JobWorkers:    2,
-			JobQueueDepth: 16,
-			CacheDir:      dir,
-			VolatileJobs:  m.volatileJobs,
-			JobWALNoSync:  m.noSync,
-		})
-		if err != nil {
-			panic(err)
-		}
-		s, err := e.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-		if err != nil {
-			panic(err)
-		}
-		runJob := func() time.Duration {
-			t0 := time.Now()
-			job, err := e.SubmitCheckBatch(s, docs, false)
-			if err != nil {
-				panic(err)
-			}
-			submit := time.Since(t0)
-			<-job.Done()
-			if job.State() != jobs.Done {
-				panic(fmt.Sprintf("async job ended %v", job.State()))
-			}
-			e.Jobs().Remove(job.ID())
-			return submit
-		}
-		runJob() // warm up (pools, page cache, WAL segment)
-
-		var submitNs int64
-		runs := 0
-		start := time.Now()
-		for time.Since(start) < budget || runs == 0 {
-			submitNs += runJob().Nanoseconds()
-			runs++
-		}
-		dps := float64(runs*len(docs)) / time.Since(start).Seconds()
-		e.Close()
-		os.RemoveAll(dir)
-
-		submitUs := float64(submitNs) / float64(runs) / 1e3
-		if m.name == "mem" {
-			memSubmitUs = submitUs
-		}
-		t.Rows = append(t.Rows, []string{
-			m.name, fmt.Sprint(len(docs)), fmt.Sprint(runs),
-			fmt.Sprintf("%.1f", submitUs),
-			fmt.Sprintf("%.0f", dps),
-			fmt.Sprintf("%.2fx", submitUs/memSubmitUs),
-		})
-	}
-	return t
-}
-
-// streamDTD is X13's grammar: the unbounded-log shape the streaming
-// checker exists for (one star group directly under the root).
-const streamDTD = `<!ELEMENT log (entry)*>
-<!ELEMENT entry (msg, code)>
-<!ELEMENT msg (#PCDATA)>
-<!ELEMENT code (#PCDATA)>`
-
-// StreamingMemory is experiment X13 (the bounded-memory streaming
-// checker): potential-validity checking of one large document through the
-// chunked sliding-window lexer vs the whole-buffer byte lexer. The
-// in-memory input prices the pure lexing overhead of window refills at
-// several window sizes (the acceptance bar: chunked within 15% of
-// whole-buffer); the on-disk input prices the end-to-end story — RunReader
-// straight off the file against read-everything-then-check — where the
-// peak-heap column is the point: O(window) instead of O(document).
-// peak_extra_mb is the sampled high-water HeapAlloc over the pre-run
-// floor; total_alloc_mb is cumulative allocation during the measured
-// passes.
-func StreamingMemory(inMemMB, fileMB int, budget time.Duration) *Table {
-	d := dtd.MustParse(streamDTD)
-	s, err := core.Compile(d, "log", core.Options{})
-	if err != nil {
-		panic(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	var memBuf bytes.Buffer
-	if _, err := gen.StreamValid(&memBuf, rng, d, "log", gen.DocOptions{}, int64(inMemMB)<<20); err != nil {
-		panic(err)
-	}
-	doc := memBuf.Bytes()
-
-	f, err := os.CreateTemp("", "pv-x13-*.xml")
-	if err != nil {
-		panic(err)
-	}
-	defer os.Remove(f.Name())
-	fileBytes, err := gen.StreamValid(f, rng, d, "log", gen.DocOptions{}, int64(fileMB)<<20)
-	if err == nil {
-		err = f.Close()
-	}
-	if err != nil {
-		panic(err)
-	}
-
-	t := &Table{
-		Name: "streaming",
-		Caption: fmt.Sprintf("X13 / bounded-memory streaming — chunked sliding window vs whole buffer (log grammar, %dMB in-memory + %dMB file)",
-			inMemMB, fileMB),
-		Header: []string{"input", "mode", "window_kb", "mb_per_sec", "peak_extra_mb", "total_alloc_mb", "vs_whole_buffer"},
-	}
-
-	checker := s.NewStreamChecker()
-	// measure runs fn repeatedly under the budget (at least once), sampling
-	// the heap high-water mark against a GC'd pre-run floor.
-	measure := func(inputMB float64, fn func()) (mbps, peakExtraMB, allocMB float64) {
-		fn() // warm: pools, lexer buffers, page cache
-		var ms0, ms1, ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		floor := ms0.HeapAlloc
-		var peak atomic.Uint64
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak.Load() {
-					peak.Store(ms.HeapAlloc)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-		passes := 0
-		start := time.Now()
-		for time.Since(start) < budget || passes == 0 {
-			fn()
-			passes++
-		}
-		elapsed := time.Since(start)
-		close(stop)
-		wg.Wait()
-		runtime.ReadMemStats(&ms1)
-		extra := 0.0
-		if p := peak.Load(); p > floor {
-			extra = float64(p-floor) / (1 << 20)
-		}
-		return inputMB * float64(passes) / elapsed.Seconds(), extra,
-			float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20)
-	}
-
-	addRow := func(input, mode, window string, inputMB float64, base *float64, fn func()) {
-		mbps, extra, alloc := measure(inputMB, fn)
-		vs := "baseline"
-		if *base == 0 {
-			*base = mbps
-		} else {
-			vs = fmt.Sprintf("%.0f%%", 100*mbps / *base)
-		}
-		t.Rows = append(t.Rows, []string{input, mode, window,
-			fmt.Sprintf("%.0f", mbps), fmt.Sprintf("%.2f", extra), fmt.Sprintf("%.1f", alloc), vs})
-	}
-
-	memInput := fmt.Sprintf("mem-%dMB", inMemMB)
-	memMB := float64(len(doc)) / (1 << 20)
-	var memBase float64
-	addRow(memInput, "whole-buffer", "-", memMB, &memBase, func() {
-		if err := checker.RunBytes(doc); err != nil {
-			panic(err)
-		}
-	})
-	for _, winKB := range []int{64, 256, 1024} {
-		win := winKB << 10
-		addRow(memInput, "chunked", fmt.Sprint(winKB), memMB, &memBase, func() {
-			if err := checker.RunReaderBuffer(bytes.NewReader(doc), win); err != nil {
-				panic(err)
-			}
-		})
-	}
-
-	fileInput := fmt.Sprintf("file-%dMB", fileMB)
-	fileMBf := float64(fileBytes) / (1 << 20)
-	var fileBase float64
-	addRow(fileInput, "read-then-check", "-", fileMBf, &fileBase, func() {
-		data, err := os.ReadFile(f.Name())
-		if err == nil {
-			err = checker.RunBytes(data)
-		}
-		if err != nil {
-			panic(err)
-		}
-	})
-	addRow(fileInput, "streamed", "256", fileMBf, &fileBase, func() {
-		r, err := os.Open(f.Name())
-		if err == nil {
-			err = checker.RunReader(r)
-			r.Close()
-		}
-		if err != nil {
-			panic(err)
-		}
-	})
-	return t
-}
-
-// ReceiptOverhead is experiment X14 (verifiable verdict receipts):
-// CheckBatch versus CheckBatchReceipt over the same mixed play corpus, on
-// a memory-only engine (no anchor log — the pure commitment cost: leaf
-// hashing, tree build, one proof per document). The acceptance bar for
-// the feature is <=5% docs/sec overhead with receipts on; receipts are
-// off by default, so the baseline row is also the no-regression witness
-// for existing callers.
-func ReceiptOverhead(corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(14))
-	docs := make([]engine.Doc, corpusSize)
-	var corpusBytes int64
-	for i := range docs {
-		doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 3})
-		switch i % 3 {
-		case 1:
-			gen.Strip(rng, doc, 0.3)
-		case 2:
-			gen.Corrupt(rng, d, doc)
-		}
-		docs[i] = engine.Doc{ID: fmt.Sprint(i), Content: doc.String()}
-		corpusBytes += int64(len(docs[i].Content))
-	}
-	t := &Table{
-		Name:    "receipt",
-		Caption: "X14 / verdict receipts — CheckBatch vs CheckBatchReceipt (mixed play corpus, memory-only engine)",
-		Header:  []string{"mode", "corpus_docs", "batches", "docs_per_sec", "mb_per_sec", "overhead_pct"},
-	}
-	e := engine.New(engine.Config{})
-	s, err := e.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-	if err != nil {
-		panic(err)
-	}
-	// The two modes alternate batch for batch across one shared budget
-	// window, so machine drift (thermal, noisy neighbors) hits both
-	// equally instead of whichever phase ran second.
-	e.CheckBatch(s, docs) // warm up (pools, page cache)
-	var batches [2]int
-	var spent [2]time.Duration
-	start := time.Now()
-	for time.Since(start) < 2*budget {
-		for mode := 0; mode < 2; mode++ {
-			t0 := time.Now()
-			if mode == 1 {
-				if _, _, rec, err := e.CheckBatchReceipt(s, docs); err != nil || rec == nil {
-					panic(fmt.Sprintf("receipt batch: rec=%v err=%v", rec, err))
-				}
-			} else {
-				e.CheckBatch(s, docs)
-			}
-			spent[mode] += time.Since(t0)
-			batches[mode]++
-		}
-	}
-	var dps [2]float64
-	for mode, name := range []string{"off", "on"} {
-		dps[mode] = float64(batches[mode]*len(docs)) / spent[mode].Seconds()
-		mbps := float64(batches[mode]) * float64(corpusBytes) / (1 << 20) / spent[mode].Seconds()
-		overhead := "0.00"
-		if mode == 1 {
-			overhead = fmt.Sprintf("%.2f", (dps[0]-dps[1])/dps[0]*100)
-		}
-		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprint(len(docs)), fmt.Sprint(batches[mode]),
-			fmt.Sprintf("%.0f", dps[mode]), fmt.Sprintf("%.2f", mbps), overhead,
-		})
-	}
-	return t
-}
-
-// TwoTierCheck is experiment X15 (two-tier checking): one engine with the
-// content-model DFA fast path against one compiled DisableFastPath, over
-// three document mixes — valid-heavy (90% fully valid: the strict-validity
-// shortcut also skips the tree pass), invalid-heavy (mostly corrupted:
-// checks die early in either tier), and mixed. The engines alternate batch
-// for batch within each mix so machine drift hits both equally. The
-// acceptance bar for the tentpole is >=2x docs/sec on the valid-heavy mix.
-func TwoTierCheck(corpusSize int, budget time.Duration) *Table {
-	d := dtd.MustParse(dtd.Play)
-	rng := rand.New(rand.NewSource(15))
-	mixes := []struct {
-		name    string
-		corrupt func(i int, doc *dom.Node) // mutates per the mix's ratio
-	}{
-		{"valid_heavy", func(i int, doc *dom.Node) {
-			if i%10 == 9 {
-				gen.Corrupt(rng, d, doc)
-			}
-		}},
-		{"invalid_heavy", func(i int, doc *dom.Node) {
-			if i%10 != 9 {
-				gen.Corrupt(rng, d, doc)
-			}
-		}},
-		{"mixed", func(i int, doc *dom.Node) {
-			switch i % 3 {
-			case 1:
-				gen.Strip(rng, doc, 0.3)
-			case 2:
-				gen.Corrupt(rng, d, doc)
-			}
-		}},
-	}
-	t := &Table{
-		Name:    "twotier",
-		Caption: "X15 / two-tier checking — DFA fast path vs recognizer-only (play corpus, full verdicts)",
-		Header:  []string{"mix", "mode", "corpus_docs", "batches", "docs_per_sec", "mb_per_sec", "speedup"},
-	}
-	fast := engine.New(engine.Config{})
-	slow := engine.New(engine.Config{DisableFastPath: true})
-	fs, err := fast.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-	if err != nil {
-		panic(err)
-	}
-	ss, err := slow.Compile(engine.DTDSource, dtd.Play, "play", engine.CompileOptions{})
-	if err != nil {
-		panic(err)
-	}
-	for _, mix := range mixes {
-		docs := make([]engine.Doc, corpusSize)
-		var corpusBytes int64
-		for i := range docs {
-			doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 3})
-			mix.corrupt(i, doc)
-			docs[i] = engine.Doc{ID: fmt.Sprint(i), Content: doc.String()}
-			corpusBytes += int64(len(docs[i].Content))
-		}
-		fast.CheckBatch(fs, docs) // warm up both engines' pools
-		slow.CheckBatch(ss, docs)
-		var batches [2]int
-		var spent [2]time.Duration
-		start := time.Now()
-		for time.Since(start) < 2*budget {
-			for mode := 0; mode < 2; mode++ {
-				t0 := time.Now()
-				if mode == 0 {
-					fast.CheckBatch(fs, docs)
-				} else {
-					slow.CheckBatch(ss, docs)
-				}
-				spent[mode] += time.Since(t0)
-				batches[mode]++
-			}
-		}
-		var dps [2]float64
-		for mode := range dps {
-			dps[mode] = float64(batches[mode]*len(docs)) / spent[mode].Seconds()
-		}
-		for mode, name := range []string{"fast", "slow"} {
-			mbps := float64(batches[mode]) * float64(corpusBytes) / (1 << 20) / spent[mode].Seconds()
-			speedup := "1.00"
-			if mode == 0 {
-				speedup = fmt.Sprintf("%.2f", dps[0]/dps[1])
-			}
-			t.Rows = append(t.Rows, []string{
-				mix.name, name, fmt.Sprint(len(docs)), fmt.Sprint(batches[mode]),
-				fmt.Sprintf("%.0f", dps[mode]), fmt.Sprintf("%.2f", mbps), speedup,
-			})
-		}
-	}
-	return t
-}
-
-// All runs every experiment with defaults scaled by quick (smaller sizes
-// for tests).
-func All(quick bool) []*Table {
+// Experiments lists X1-X6 in table order, sized for a full run or, with
+// quick, for tests and smoke runs (smaller inputs, shorter budgets).
+func Experiments(quick bool) []Experiment {
 	budget := 50 * time.Millisecond
 	linSizes := []int{1000, 4000, 16000, 64000, 256000}
 	earSizes := []int{8, 16, 32, 64, 128}
@@ -1226,10 +418,6 @@ func All(quick bool) []*Table {
 	updSizes := []int{1000, 8000, 64000}
 	fracs := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 	trials := 40
-	workerCounts := []int{1, 2, 4, 8}
-	corpus := 256
-	tputBudget := 250 * time.Millisecond
-	streamMemMB, streamFileMB := 8, 32
 	if quick {
 		budget = 2 * time.Millisecond
 		linSizes = []int{500, 2000, 8000}
@@ -1238,28 +426,13 @@ func All(quick bool) []*Table {
 		dtdSizes = []int{8, 16}
 		updSizes = []int{500, 4000}
 		trials = 5
-		corpus = 48
-		tputBudget = 10 * time.Millisecond
-		streamMemMB, streamFileMB = 2, 4
 	}
-	schemaCount := 16
-	if quick {
-		schemaCount = 6
-	}
-	return []*Table{
-		LinearScaling(linSizes, budget),
-		EarleyComparison(earSizes, budget),
-		DepthSensitivity(depths, budget),
-		DTDSize(dtdSizes, 4000, budget),
-		UpdateCosts(updSizes, budget),
-		StripClosure(fracs, trials, budget),
-		Throughput(workerCounts, corpus, tputBudget),
-		CompletionThroughput(workerCounts, corpus, tputBudget),
-		SchemaStore([]int{1, 2, 4, 8}, schemaCount, corpus, tputBudget),
-		AsyncIngest(workerCounts, corpus, tputBudget),
-		Durability(corpus, tputBudget),
-		StreamingMemory(streamMemMB, streamFileMB, tputBudget),
-		ReceiptOverhead(corpus, tputBudget),
-		TwoTierCheck(corpus, tputBudget),
+	return []Experiment{
+		{"linear", func() *Table { return LinearScaling(linSizes, budget) }},
+		{"earley", func() *Table { return EarleyComparison(earSizes, budget) }},
+		{"depth", func() *Table { return DepthSensitivity(depths, budget) }},
+		{"dtdsize", func() *Table { return DTDSize(dtdSizes, 4000, budget) }},
+		{"updates", func() *Table { return UpdateCosts(updSizes, budget) }},
+		{"closure", func() *Table { return StripClosure(fracs, trials, budget) }},
 	}
 }

@@ -1,8 +1,6 @@
 package cli
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -11,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/mmapio"
@@ -32,8 +29,6 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 	streamAt := fs.Int64("stream-at", 64<<20, "check files at least this many bytes large through the bounded-memory reader path instead of loading them (PV-only verdict, <0 never)")
 	cacheDir := fs.String("cache-dir", "", "disk-backed compiled-schema cache (skips recompiling across runs)")
 	pvOnly := fs.Bool("pvonly", false, "skip the full-validity bit (fastest)")
-	async := fs.Bool("async", false, "submit through the engine's async job queue and poll to completion")
-	poll := fs.Duration("poll", 100*time.Millisecond, "progress poll interval in -async mode")
 	quiet := fs.Bool("q", false, "print only failures and the summary")
 	ws := fs.Bool("ws", false, "ignore whitespace-only text nodes")
 	anyRoot := fs.Bool("anyroot", false, "accept any declared element as document root")
@@ -57,11 +52,16 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	eng, err := pv.OpenEngine(pv.EngineConfig{Workers: *workers, PVOnly: *pvOnly, SchemaCacheDir: *cacheDir})
+	// -cache-dir is a compiled-schema cache only. The one-shot CLI runs no
+	// async jobs, so its jobs stay volatile: it never opens, locks or
+	// recovers the directory's job write-ahead log, which a pvserve sharing
+	// the directory may own.
+	eng, err := pv.OpenEngine(pv.EngineConfig{Workers: *workers, PVOnly: *pvOnly, SchemaCacheDir: *cacheDir, VolatileJobs: true})
 	if err != nil {
 		fmt.Fprintf(stderr, "pvcheck batch: %v\n", err)
 		return 2
 	}
+	defer eng.Close()
 	opts := pv.Options{MaxDepth: *depth, IgnoreWhitespaceText: *ws, AllowAnyRoot: *anyRoot}
 	var schema *pv.Schema
 	if *dtdPath != "" {
@@ -113,23 +113,6 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 		docs = append(docs, pv.Doc{ID: path, Bytes: data})
 	}
 
-	if *async {
-		// The async client mode: submit the whole corpus as one job (the
-		// CLI twin of POST /batch?async=1), poll its progress, then stream
-		// the retained NDJSON verdicts. The mmap releases must wait until
-		// the job has finished — its workers read the mapped bytes.
-		code := runAsyncBatch(eng, schema, docs, *poll, *quiet, *pvOnly, stdout, stderr)
-		for _, release := range releases {
-			release()
-		}
-		if exit < code {
-			exit = code
-		}
-		if code, _ := checkStreamedFiles(eng, schema, streamPaths, *quiet, stdout, stderr); exit < code {
-			exit = code
-		}
-		return exit
-	}
 	results, stats := eng.CheckBatch(schema, docs)
 	for _, release := range releases {
 		release()
@@ -199,8 +182,8 @@ func checkStreamedFiles(eng *pv.Engine, schema *pv.Schema, paths []string, quiet
 }
 
 // printVerdict renders one per-document verdict line and returns its exit
-// code contribution (0 ok, 1 failure) — shared by the synchronous batch
-// and the async job poller.
+// code contribution (0 ok, 1 failure) — shared by the batch and the
+// streamed files.
 func printVerdict(stdout io.Writer, id, errMsg string, valid, pvalid bool, detail string, quiet, pvOnly bool) int {
 	switch {
 	case errMsg != "":
@@ -226,99 +209,6 @@ func printVerdict(stdout io.Writer, id, errMsg string, valid, pvalid bool, detai
 		fmt.Fprintf(stdout, "%s: NOT potentially valid: %s\n", id, detail)
 		return 1
 	}
-}
-
-// verdictLine is the NDJSON wire form of one async job result (the
-// resultJSON shape of docs/jobs-api.md).
-type verdictLine struct {
-	ID               string `json:"id"`
-	Index            int    `json:"index"`
-	PotentiallyValid bool   `json:"potentiallyValid"`
-	Valid            bool   `json:"valid"`
-	Detail           string `json:"detail"`
-	Error            string `json:"error"`
-}
-
-// runAsyncBatch submits one async checking job, polls it to a terminal
-// state (reporting progress at the poll interval), prints the retained
-// verdicts, and returns the exit code.
-func runAsyncBatch(eng *pv.Engine, schema *pv.Schema, docs []pv.Doc, poll time.Duration, quiet, pvOnly bool, stdout, stderr io.Writer) int {
-	if poll <= 0 {
-		// A zero interval would busy-spin the progress loop and flood
-		// stderr; clamp like the other duration knobs.
-		poll = 100 * time.Millisecond
-	}
-	job, err := eng.SubmitBatch(schema, docs, false)
-	if err != nil {
-		fmt.Fprintf(stderr, "pvcheck batch: submitting async job: %v\n", err)
-		return 2
-	}
-	// The one-shot CLI collects its own results, so drop the job (and its
-	// results file under -cache-dir) instead of leaving it to a TTL reaper
-	// that dies with the process.
-	defer eng.RemoveJob(job.ID())
-	fmt.Fprintf(stderr, "job %s: submitted %d documents\n", job.ID(), len(docs))
-	for done := false; !done; {
-		select {
-		case <-job.Done():
-			done = true
-		case <-time.After(poll):
-			info := job.Info()
-			fmt.Fprintf(stderr, "job %s: %s %d/%d\n", info.ID, info.State, info.Done, info.Total)
-		}
-	}
-	info := job.Info()
-	if info.State != "done" {
-		fmt.Fprintf(stderr, "pvcheck batch: job %s ended %s: %s\n", info.ID, info.State, info.Error)
-		return 2
-	}
-	// Stream the retained NDJSON through a pipe rather than buffering the
-	// whole result set: a multi-gigabyte job's results on disk must not
-	// become the CLI's peak RSS.
-	pr, pw := io.Pipe()
-	go func() {
-		_, err := job.WriteResults(pw)
-		pw.CloseWithError(err)
-	}()
-	// On an early error return, closing the read end unblocks the writer
-	// goroutine instead of leaking it on a full pipe.
-	defer pr.Close()
-	exit := 0
-	var pvCount, valid, malformed int
-	sc := bufio.NewScanner(pr)
-	sc.Buffer(make([]byte, 64<<10), 128<<20)
-	for sc.Scan() {
-		var v verdictLine
-		if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
-			fmt.Fprintf(stderr, "pvcheck batch: bad result line: %v\n", err)
-			return 2
-		}
-		switch {
-		case v.Error != "":
-			malformed++
-		case v.Valid:
-			valid++
-			pvCount++
-		case v.PotentiallyValid:
-			pvCount++
-		}
-		code := printVerdict(stdout, v.ID, v.Error, v.Valid, v.PotentiallyValid, v.Detail, quiet, pvOnly)
-		if exit < code {
-			exit = code
-		}
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(stderr, "pvcheck batch: reading job results: %v\n", err)
-		return 2
-	}
-	elapsed := info.FinishedAt.Sub(*info.StartedAt)
-	dps := 0.0
-	if secs := elapsed.Seconds(); secs > 0 {
-		dps = float64(info.Total) / secs
-	}
-	fmt.Fprintf(stderr, "job %s: checked %d documents async: %d potentially valid, %d valid, %d malformed — %.0f docs/sec\n",
-		info.ID, info.Total, pvCount, valid, malformed, dps)
-	return exit
 }
 
 // readDoc loads one document for the byte path: memory-mapped at or above

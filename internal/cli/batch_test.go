@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/jobs/walstore"
 )
 
 // writeBatchDir creates a corpus directory: two valid docs, one potentially
@@ -162,25 +163,38 @@ func TestBatchUsageErrors(t *testing.T) {
 	}
 }
 
-// TestBatchAsync pins the -async job mode to the synchronous verdicts:
-// same per-document lines, same exit code, plus job progress on stderr.
-func TestBatchAsync(t *testing.T) {
+// TestCacheDirLeavesJobWALAlone runs batch and complete with -cache-dir
+// on a directory whose job write-ahead log another process holds, then on
+// a fresh one. The flag is a compiled-schema cache: both subcommands must
+// succeed beside the lock holder, and neither may create <dir>/jobs.
+func TestCacheDirLeavesJobWALAlone(t *testing.T) {
 	dtdPath, docsDir := writeBatchDir(t)
-	var syncOut, syncErr strings.Builder
-	syncCode := Batch([]string{"-dtd", dtdPath, "-root", "r", docsDir}, &syncOut, &syncErr)
-	var out, errOut strings.Builder
-	code := Batch([]string{"-dtd", dtdPath, "-root", "r", "-async", "-poll", "1ms", docsDir}, &out, &errOut)
-	if code != syncCode {
-		t.Fatalf("async exit = %d, sync = %d\nstderr:\n%s", code, syncCode, errOut.String())
+	valid := filepath.Join(docsDir, "valid1.xml")
+	pvDoc := filepath.Join(docsDir, "pv.xml")
+
+	held := t.TempDir()
+	wal, err := walstore.Open(filepath.Join(held, "jobs"), walstore.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.String() != syncOut.String() {
-		t.Errorf("async verdicts diverge from sync:\nasync:\n%s\nsync:\n%s", out.String(), syncOut.String())
+	defer wal.Close()
+	fresh := t.TempDir()
+
+	for _, dir := range []string{held, fresh} {
+		var out, errOut strings.Builder
+		code := Batch([]string{"-dtd", dtdPath, "-root", "r", "-cache-dir", dir, valid, pvDoc}, &out, &errOut)
+		if code != 0 || !strings.Contains(out.String(), "valid1.xml: valid") ||
+			!strings.Contains(out.String(), "pv.xml: potentially valid (encoding incomplete)") {
+			t.Errorf("batch -cache-dir %s: exit %d\nstdout:\n%s\nstderr:\n%s", dir, code, out.String(), errOut.String())
+		}
+		out.Reset()
+		errOut.Reset()
+		code = Complete([]string{"-dtd", dtdPath, "-root", "r", "-diff", "-cache-dir", dir, pvDoc}, &out, &errOut)
+		if code != 0 || !strings.Contains(out.String(), "+<d> at /r/a[0]") {
+			t.Errorf("complete -cache-dir %s: exit %d\nstdout:\n%s\nstderr:\n%s", dir, code, out.String(), errOut.String())
+		}
 	}
-	text := errOut.String()
-	if !strings.Contains(text, "submitted 5 documents") {
-		t.Errorf("stderr missing submission line:\n%s", text)
-	}
-	if !strings.Contains(text, "checked 5 documents async") {
-		t.Errorf("stderr missing async summary:\n%s", text)
+	if _, err := os.Stat(filepath.Join(fresh, "jobs")); !os.IsNotExist(err) {
+		t.Errorf("a one-shot run created %s/jobs (stat err %v)", fresh, err)
 	}
 }

@@ -53,11 +53,13 @@ func Complete(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	eng, err := pv.OpenEngine(pv.EngineConfig{Workers: *workers, SchemaCacheDir: *cacheDir})
+	// Volatile jobs, as in Batch: -cache-dir never touches the job WAL.
+	eng, err := pv.OpenEngine(pv.EngineConfig{Workers: *workers, SchemaCacheDir: *cacheDir, VolatileJobs: true})
 	if err != nil {
 		fmt.Fprintf(stderr, "pvcheck complete: %v\n", err)
 		return 2
 	}
+	defer eng.Close()
 	opts := pv.Options{MaxDepth: *depth, IgnoreWhitespaceText: *ws, AllowAnyRoot: *anyRoot}
 	var schema *pv.Schema
 	if *dtdPath != "" {

@@ -40,7 +40,7 @@ type Options struct {
 	// DisableFastPath skips compiling the content-model DFA tables, so
 	// every element runs on the PV recognizer alone (the slow tier).
 	// Verdicts are identical either way; the knob exists for
-	// apples-to-apples benching (X15) and as an operational escape hatch.
+	// apples-to-apples benching and as an operational escape hatch.
 	DisableFastPath bool
 }
 

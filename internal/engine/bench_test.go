@@ -194,8 +194,8 @@ func completableCorpus(n int) []Doc {
 }
 
 // BenchmarkEngineComplete measures batched completion throughput across
-// worker counts (the X9 workload); CI runs it once (-benchtime=1x) as a
-// compile-and-run guard.
+// worker counts; CI runs it once (-benchtime=1x) as a compile-and-run
+// guard.
 func BenchmarkEngineComplete(b *testing.B) {
 	docs := completableCorpus(128)
 	var bytes int64

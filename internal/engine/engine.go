@@ -186,7 +186,8 @@ type Config struct {
 	MaxDocBytes int
 	// StreamBufBytes is the sliding-window size of the bounded-memory reader
 	// path (CheckReader, /check/raw); <=0 selects xmltext.DefaultChunkSize
-	// (256KB). X13 (bench.StreamingMemory) prices this knob.
+	// (256KB). servebench's core.reader_ns_per_byte and
+	// xmltext.chunked_lex_ns_per_byte probes time the path at the default.
 	StreamBufBytes int
 	// FS is the filesystem seam under the engine's durable tier — the
 	// compiled-schema disk cache, the job WAL, and the receipt anchor log
@@ -207,8 +208,7 @@ type Config struct {
 // Engine is the concurrent checking front end: a sharded schema store plus
 // a worker pool configuration and lifetime counters.
 type Engine struct {
-	store       SchemaStore
-	reg         *Registry // the built-in store, when store is one
+	store       *Registry
 	jobs        *jobs.Manager
 	workers     int
 	pvOnly      bool
@@ -310,7 +310,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		store: reg,
-		reg:   reg,
 		jobs: jobs.NewManager(jobs.Config{
 			Workers:    cfg.JobWorkers,
 			QueueDepth: cfg.JobQueueDepth,
@@ -388,11 +387,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 func (e *Engine) JobRecovery() (jobs.RecoveryStats, bool) { return e.recovery, e.recovered }
 
 // Store returns the engine's schema store.
-func (e *Engine) Store() SchemaStore { return e.store }
-
-// Registry returns the engine's built-in sharded registry (the default
-// SchemaStore).
-func (e *Engine) Registry() *Registry { return e.reg }
+func (e *Engine) Store() *Registry { return e.store }
 
 // Workers returns the configured worker bound.
 func (e *Engine) Workers() int { return e.workers }
@@ -431,8 +426,9 @@ func (e *Engine) check(s *Schema, c *core.StreamChecker, d Doc) Result {
 			// is a complete word of its model everywhere, so the document
 			// is fully valid and the tree parse has nothing left to
 			// decide. This is the fast path's big win on valid-heavy
-			// traffic — the whole DOM pass disappears (X15 prices it, the
-			// engine differential test pins verdict equality).
+			// traffic — the whole DOM pass disappears (servebench's
+			// core.strict_frac and dom.tree_pass_frac count it, and
+			// TestEngineTwoTierDifferential pins verdict equality).
 			res.Valid = true
 			return res
 		}

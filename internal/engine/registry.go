@@ -130,7 +130,7 @@ type shard struct {
 // LRU bound), tier 2 an optional disk-backed content-addressed cache of
 // compiled-schema blobs. Failed compilations are cached too (negative
 // caching, memory tier only), so a hot loop of bad requests does not
-// recompile per request. Registry implements SchemaStore.
+// recompile per request.
 type Registry struct {
 	shards []*shard
 	disk   *schemastore.Cache

@@ -73,8 +73,8 @@ type Options struct {
 	// faster submits at the cost of the write-ahead guarantee across
 	// machine crashes (a process kill still loses nothing: the records are
 	// written before Append returns). Directory fsyncs are skipped too;
-	// they exist for the same machine-crash guarantee. Bench X12
-	// quantifies the gap.
+	// they exist for the same machine-crash guarantee. servebench's
+	// walstore.append_us times the fsynced Append.
 	NoSync bool
 	// SegmentBytes rotates the active segment once it exceeds this size;
 	// <=0 selects DefaultSegmentBytes.

@@ -17,8 +17,8 @@ import (
 
 // DefaultChunkSize is the sliding-window size ChunkedLexer uses when the
 // caller does not choose one. Large enough that refill bookkeeping is noise
-// against lexing (X13 prices this), small enough to keep per-stream memory
-// trivial.
+// against lexing (servebench's xmltext.chunked_lex_ns_per_byte probe lexes
+// at this window), small enough to keep per-stream memory trivial.
 const DefaultChunkSize = 256 << 10
 
 // ChunkedLexer lexes an XML document streamed from an io.Reader in bounded

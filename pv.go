@@ -259,10 +259,10 @@ func (s *Schema) CheckStreamBytes(xml []byte) error { return s.core.CheckStreamB
 // CheckReader is CheckStream over an io.Reader: the document is lexed
 // through a fixed sliding window and never held in memory, so peak usage is
 // O(element depth + window) — typically a few hundred KB — no matter the
-// document size. Multi-GB files check at near-disk speed (bench X13); the
-// verdict is identical to CheckStreamBytes over the same bytes. It returns
-// nil when the document is potentially valid; the error otherwise explains
-// the violation, well-formedness failure or read problem.
+// document size. The verdict is identical to CheckStreamBytes over the
+// same bytes. It returns nil when the document is potentially valid; the
+// error otherwise explains the violation, well-formedness failure or read
+// problem.
 func (s *Schema) CheckReader(r io.Reader) error { return s.core.CheckReader(r) }
 
 // Ref returns the schema's registry reference (a hex digest of source,
