@@ -11,6 +11,10 @@
 // a memoized dynamic program over (Glushkov position, input index), with
 // inserted-wrapper feasibility decided recursively under the same depth
 // bound the checker uses.
+//
+// The hot path never hashes a string: element names are interned to int32
+// ids once per Completer, each (sub-)DP memoizes into one dense table, and
+// host verdicts and the cycle guard use integer keys.
 package complete
 
 import (
@@ -22,29 +26,88 @@ import (
 	"repro/internal/dtd"
 )
 
-// Completer synthesizes valid extensions w.r.t. a compiled schema.
+// Completer synthesizes valid extensions w.r.t. a compiled schema. It
+// memoizes per-schema state and reuses scratch across calls, so one
+// Completer must not be used by two goroutines at once.
 type Completer struct {
 	schema *core.Schema
-	// automata on the ORIGINAL content models (with ? and +): the
-	// completion must satisfy real validity, not the normalized relaxation.
-	automata map[string]*contentmodel.Automaton
-	minimal  map[string]*dom.Node // memoized minimal valid instances
+	// ids interns every element name the DTD declares or a content model
+	// mentions; id 0 stands for character data (a text item, or a #PCDATA
+	// position).
+	ids     map[string]int32
+	elems   []elemInfo           // indexed by id; elems[0] is unused
+	minimal map[string]*dom.Node // memoized minimal valid instances
+
+	// Scratch for one arrange call and all its sub-DPs. arrange clears
+	// items before it returns, so an idle Completer holds no document.
+	items []*dom.Node      // the arrangement's items
+	syms  []int32          // their symbol ids
+	hosts map[hostKey]bool // canHost verdicts
+	stack []stackKey       // canHost questions being decided
+	arena []dpVal          // backing store for the DP memo tables
+	top   int              // arena entries in use
+}
+
+// elemInfo is one interned element: its declaration and, for Children and
+// Mixed content, the Glushkov automaton on the ORIGINAL content model
+// (with ? and +) — the completion must satisfy real validity, not the
+// normalized relaxation — flattened into id-based tables.
+type elemInfo struct {
+	name string
+	decl *dtd.ElementDecl // nil for a name no declaration covers
+	// sym[q] is the symbol id at position q (q ≥ 1).
+	sym []int32
+	// succ[p] lists the positions that may follow p, sorted (succ[0] is
+	// the first set); the lists are the automaton's own, read only.
+	succ [][]int
+	// end[p] reports whether the model may stop after p (end[0]: the model
+	// is nullable).
+	end []bool
 }
 
 // New builds a Completer for the schema.
 func New(schema *core.Schema) *Completer {
 	c := &Completer{
-		schema:   schema,
-		automata: map[string]*contentmodel.Automaton{},
-		minimal:  map[string]*dom.Node{},
+		schema:  schema,
+		ids:     map[string]int32{},
+		elems:   []elemInfo{{}},
+		minimal: map[string]*dom.Node{},
 	}
 	for _, name := range schema.DTD.Order {
-		decl := schema.DTD.Elements[name]
-		if decl.Category == dtd.Children || decl.Category == dtd.Mixed {
-			c.automata[name] = contentmodel.CompileAutomaton(decl.Model)
+		c.intern(name)
+	}
+	for id := 1; id < len(c.elems); id++ {
+		decl := c.elems[id].decl
+		if decl == nil || (decl.Category != dtd.Children && decl.Category != dtd.Mixed) {
+			continue
 		}
+		auto := contentmodel.CompileAutomaton(decl.Model)
+		n := auto.Positions()
+		sym := make([]int32, n+1)
+		succ := make([][]int, n+1)
+		end := make([]bool, n+1)
+		succ[0], end[0] = auto.First(), auto.Nullable()
+		for q := 1; q <= n; q++ {
+			if name := auto.Symbol(q); name != contentmodel.PCDATASymbol {
+				sym[q] = c.intern(name)
+			}
+			succ[q], end[q] = auto.Follow(q), auto.Last(q)
+		}
+		el := &c.elems[id]
+		el.sym, el.succ, el.end = sym, succ, end
 	}
 	return c
+}
+
+// intern returns name's id, assigning the next one on first sight.
+func (c *Completer) intern(name string) int32 {
+	if id, ok := c.ids[name]; ok {
+		return id
+	}
+	id := int32(len(c.elems))
+	c.ids[name] = id
+	c.elems = append(c.elems, elemInfo{name: name, decl: c.schema.DTD.Elements[name]})
+	return id
 }
 
 // insLog accumulates the element nodes a completion inserts, in creation
@@ -106,11 +169,12 @@ func (c *Completer) completeNode(n *dom.Node, depth int, log *insLog) error {
 			}
 		}
 	}
-	decl := c.schema.DTD.Elements[n.Name]
-	if decl == nil {
+	id, ok := c.ids[n.Name]
+	if !ok || c.elems[id].decl == nil {
 		return fmt.Errorf("complete: element <%s> not declared", n.Name)
 	}
-	switch decl.Category {
+	el := &c.elems[id]
+	switch el.decl.Category {
 	case dtd.Empty:
 		if len(realChildren(n)) > 0 {
 			return fmt.Errorf("complete: EMPTY <%s> has content", n.Name)
@@ -125,14 +189,14 @@ func (c *Completer) completeNode(n *dom.Node, depth int, log *insLog) error {
 	// content may hold child elements outside its allowed set only by
 	// wrapping them into allowed hosts (e.g. an <item> inside <para>
 	// becomes <list><item/></list>).
-	newChildren, err := c.arrange(n.Name, n.Children, depth, log)
+	newChildren, err := c.arrange(el, n.Children, depth, log)
 	if err != nil {
 		return fmt.Errorf("complete: inside <%s>: %w", n.Name, err)
 	}
-	n.Children = nil
 	for _, ch := range newChildren {
-		n.Append(ch)
+		ch.Parent = n
 	}
+	n.Children = newChildren
 	return nil
 }
 
@@ -148,60 +212,69 @@ func realChildren(n *dom.Node) []*dom.Node {
 	return out
 }
 
-// arrange embeds the child list into elem's content model, returning the
+// arrange embeds the child list into el's content model, returning the
 // new child list (with wrappers inserted). Whitespace-only text in element
 // content is permitted by XML and kept in place next to its neighbor.
-func (c *Completer) arrange(elem string, children []*dom.Node, depth int, log *insLog) ([]*dom.Node, error) {
+func (c *Completer) arrange(el *elemInfo, children []*dom.Node, depth int, log *insLog) ([]*dom.Node, error) {
 	// Split children into the "significant" items the model must account
 	// for, and a map of trailing decorations (comments/PIs/whitespace)
 	// re-attached after arrangement. In mixed content all text is
 	// significant (it matches PCDATA positions).
-	mixed := c.schema.DTD.Elements[elem].Category == dtd.Mixed
-	items, decorations := splitItems(children, mixed)
-	d := &dp{
-		c:     c,
-		elem:  elem,
-		items: items,
-		auto:  c.automata[elem],
-		memo:  map[dpKey]*dpVal{},
-		depth: depth,
-		off:   0,
-		ctx:   &arrangeCtx{hostMemo: map[hostKeyD]bool{}},
+	items, decorations := splitItems(c.items[:0], children, el.decl.Category == dtd.Mixed)
+	c.items = items
+	// Map the items to symbol ids once: text is 0, an element its id, and
+	// an element no declaration or model names -1 (it matches nothing).
+	c.syms = c.syms[:0]
+	for _, it := range items {
+		id := int32(0)
+		if it.Kind == dom.ElementNode {
+			if known, ok := c.ids[it.Name]; ok {
+				id = known
+			} else {
+				id = -1
+			}
+		}
+		c.syms = append(c.syms, id)
 	}
+	c.resetScratch()
+	d := c.newDP(el, items, c.syms, depth, 0)
 	plan, ok := d.solveStart()
-	if !ok {
-		return nil, fmt.Errorf("no embedding of %d children into model of <%s>", len(items), elem)
+	var out []*dom.Node
+	if ok {
+		// Re-attach decorations: items keep their original relative order;
+		// decorations that followed item i are appended after i's final
+		// position. Leading decorations go first.
+		out = weave(d.render(plan, log), items, decorations)
 	}
-	out := d.render(plan, log)
-	// Re-attach decorations: items keep their original relative order;
-	// decorations that followed item i are appended after i's final
-	// position. Leading decorations go first.
-	return weave(out, items, decorations), nil
+	clear(items)
+	if !ok {
+		return nil, fmt.Errorf("no embedding of %d children into model of <%s>", len(items), el.name)
+	}
+	return out, nil
 }
 
 // splitItems separates model-relevant children (elements; non-whitespace
 // text is impossible here — the PV checker would have rejected it unless
-// the model reaches PCDATA, which Children content cannot) from
-// decorations keyed by the index of the item they follow (-1 = leading).
-func splitItems(children []*dom.Node, mixed bool) ([]*dom.Node, map[int][]*dom.Node) {
-	var items []*dom.Node
-	decorations := map[int][]*dom.Node{}
+// the model reaches PCDATA, which Children content cannot), appended to
+// items, from decorations keyed by the index of the item they follow
+// (-1 = leading). The map stays nil when there are no decorations.
+func splitItems(items, children []*dom.Node, mixed bool) ([]*dom.Node, map[int][]*dom.Node) {
+	var decorations map[int][]*dom.Node
 	for _, ch := range children {
-		switch ch.Kind {
-		case dom.ElementNode:
+		switch {
+		case ch.Kind == dom.ElementNode:
 			items = append(items, ch)
-		case dom.TextNode:
-			if !mixed && isWhitespace(ch.Data) {
-				// Whitespace in element content is decoration (XML allows
-				// it anywhere there).
-				decorations[len(items)-1] = append(decorations[len(items)-1], ch)
-			} else {
-				// Text is significant: it matches a PCDATA position in
-				// mixed content, or must hide inside an inserted element
-				// in element content.
-				items = append(items, ch)
-			}
+		case ch.Kind == dom.TextNode && (mixed || !isWhitespace(ch.Data)):
+			// Text is significant: it matches a PCDATA position in mixed
+			// content, or must hide inside an inserted element in element
+			// content.
+			items = append(items, ch)
 		default:
+			// Comments, PIs and whitespace in element content (XML allows
+			// it anywhere there) are decoration.
+			if decorations == nil {
+				decorations = map[int][]*dom.Node{}
+			}
 			decorations[len(items)-1] = append(decorations[len(items)-1], ch)
 		}
 	}
@@ -222,111 +295,131 @@ func isWhitespace(s string) bool {
 // dp is the per-node dynamic program.
 type dp struct {
 	c     *Completer
-	elem  string
+	el    *elemInfo
 	items []*dom.Node
-	auto  *contentmodel.Automaton
-	memo  map[dpKey]*dpVal
+	syms  []int32 // symbol ids of items
+	// memo holds one entry per state (p, i) at index p*(len(items)+1)+i.
+	memo  []dpVal
 	depth int
 	// off is the absolute offset of items[0] within the top-level
 	// arrangement's item list; host memoization is keyed on absolute
 	// ranges so equivalent sub-problems are shared across the recursion.
 	off int
-	ctx *arrangeCtx
-	// stack guards zero-progress recursion through canHost cycles.
-	stack map[hostKey]bool
 }
 
-// arrangeCtx is shared by one top-level arrange call and all its sub-DPs.
-type arrangeCtx struct {
-	// hostMemo caches canHost verdicts by (element, absolute range,
-	// depth budget); the depth is part of the key because a range
-	// hostable with a deep budget may be infeasible with a shallow one.
-	hostMemo map[hostKeyD]bool
-}
-
-// dpKey: position p of the Glushkov automaton (0 = virtual start) and
-// input index i.
-type dpKey struct{ p, i int }
-
+// hostKey identifies one canHost verdict: the element, the absolute item
+// range and the depth budget. The depth is part of the key because a range
+// hostable with a deep budget may be infeasible with a shallow one.
 type hostKey struct {
-	elem string
-	i, j int
+	i, j, depth int
+	elem        int32
 }
 
-type hostKeyD struct {
-	elem  string
-	i, j  int
-	depth int
+// stackKey identifies a canHost question on the cycle-guard stack.
+type stackKey struct {
+	i, j int
+	elem int32
 }
+
+// The kinds of a DP state. The zero value marks a state not yet visited;
+// every kind from accept on is a success.
+const (
+	unset      uint8 = iota
+	inProgress       // being computed: reaching it again counts as failure
+	fail
+	accept  // end of the model
+	consume // item i matched at position q
+	skip    // empty character data at PCDATA position q
+	host    // inserted element of position q wraps items [i, j)
+)
 
 // dpVal records the decision at (p, i) for plan reconstruction.
 type dpVal struct {
-	ok bool
-	// kind: "accept" (end), "consume" (item i matched at position q),
-	// "host" (insert element of position q wrapping items [i, j)).
-	kind string
-	q    int // next position
-	j    int // end of hosted range (kind == "host")
+	kind uint8
+	q    int32 // next position
+	j    int   // end of the hosted range (kind == host)
 }
+
+func (v dpVal) ok() bool { return v.kind >= accept }
+
+// The largest memo arena (in entries, 16 bytes each) and host memo (in
+// verdicts) a Completer keeps for the next arrangement. On the
+// BenchmarkCompleteCorpus mix no arrangement needs more than 463 entries
+// or 2,479 verdicts.
+const (
+	maxRetainedMemo  = 1 << 16
+	maxRetainedHosts = 1 << 14
+)
+
+// resetScratch readies the scratch for a new arrangement. An arena or host
+// memo an unusually large arrangement grew past its bound is dropped
+// rather than kept in a pooled Completer: the arena would pin its memory,
+// and clearing a map costs its whole capacity, which never shrinks.
+func (c *Completer) resetScratch() {
+	if len(c.arena) > maxRetainedMemo {
+		c.arena = nil
+	}
+	c.top = 0
+	c.stack = c.stack[:0]
+	if c.hosts == nil || len(c.hosts) > maxRetainedHosts {
+		c.hosts = map[hostKey]bool{}
+	} else {
+		clear(c.hosts)
+	}
+}
+
+// newDP starts a (sub-)DP over items, taking its memo table from the
+// completer's arena. Tables are released in reverse order of creation —
+// sub-DPs nest strictly — so the arena works as a stack; when it must
+// grow, tables already handed out keep the old backing array.
+func (c *Completer) newDP(el *elemInfo, items []*dom.Node, syms []int32, depth, off int) *dp {
+	size := len(el.succ) * (len(items) + 1)
+	if c.top+size > len(c.arena) {
+		c.arena = make([]dpVal, max(2*len(c.arena), c.top+size))
+	}
+	memo := c.arena[c.top : c.top+size : c.top+size]
+	clear(memo)
+	c.top += size
+	return &dp{c: c, el: el, items: items, syms: syms, memo: memo, depth: depth, off: off}
+}
+
+// release returns d's memo table to the arena.
+func (c *Completer) release(d *dp) { c.top -= len(d.memo) }
 
 // solveStart runs the DP from the virtual start position.
-func (d *dp) solveStart() (*dpVal, bool) {
-	if d.stack == nil {
-		d.stack = map[hostKey]bool{}
-	}
+func (d *dp) solveStart() (dpVal, bool) {
 	v := d.solve(0, 0)
-	return v, v.ok
-}
-
-// positionsAfter returns the successor positions of p (first set for the
-// virtual start 0, follow set otherwise).
-func (d *dp) positionsAfter(p int) []int {
-	if p == 0 {
-		return d.auto.First()
-	}
-	return d.auto.Follow(p)
-}
-
-// canEnd reports whether the model may stop after position p.
-func (d *dp) canEnd(p int) bool {
-	if p == 0 {
-		return d.auto.Nullable()
-	}
-	return d.auto.Last(p)
+	return v, v.ok()
 }
 
 // solve decides whether input items[i:] can be embedded starting after
-// position p.
-func (d *dp) solve(p, i int) *dpVal {
-	key := dpKey{p, i}
-	if v, ok := d.memo[key]; ok {
+// position p (0 is the virtual start).
+func (d *dp) solve(p, i int) dpVal {
+	k := p*(len(d.items)+1) + i
+	if v := d.memo[k]; v.kind != unset {
 		return v
 	}
 	// Mark in-progress to break zero-consumption cycles conservatively.
-	d.memo[key] = &dpVal{ok: false, kind: "cycle"}
+	d.memo[k].kind = inProgress
 	v := d.compute(p, i)
-	d.memo[key] = v
+	d.memo[k] = v
 	return v
 }
 
-func (d *dp) compute(p, i int) *dpVal {
-	if i == len(d.items) && d.canEnd(p) {
-		return &dpVal{ok: true, kind: "accept"}
+func (d *dp) compute(p, i int) dpVal {
+	if i == len(d.items) && d.el.end[p] {
+		return dpVal{kind: accept}
 	}
-	succ := d.positionsAfter(p)
+	succ := d.el.succ[p]
 	// Pass 1 — consume: the next real item matches a successor position
 	// directly (an element at its own symbol, text at a PCDATA position).
 	// Preferring consumption keeps completions minimal: real markup lands
 	// at its natural slot before any wrapper is considered.
 	if i < len(d.items) {
-		it := d.items[i]
 		for _, q := range succ {
-			sym := d.auto.Symbol(q)
-			matches := (it.Kind == dom.ElementNode && it.Name == sym) ||
-				(it.Kind == dom.TextNode && sym == contentmodel.PCDATASymbol)
-			if matches {
-				if v := d.solve(q, i+1); v.ok {
-					return &dpVal{ok: true, kind: "consume", q: q}
+			if d.syms[i] == d.el.sym[q] {
+				if d.solve(q, i+1).ok() {
+					return dpVal{kind: consume, q: int32(q)}
 				}
 			}
 		}
@@ -334,9 +427,9 @@ func (d *dp) compute(p, i int) *dpVal {
 	// Pass 2 — pass through an empty PCDATA slot (character data may be
 	// the empty string; PCDATA → ε in the paper's grammar).
 	for _, q := range succ {
-		if d.auto.Symbol(q) == contentmodel.PCDATASymbol {
-			if v := d.solve(q, i); v.ok {
-				return &dpVal{ok: true, kind: "skip", q: q}
+		if d.el.sym[q] == 0 {
+			if d.solve(q, i).ok() {
+				return dpVal{kind: skip, q: int32(q)}
 			}
 		}
 	}
@@ -344,25 +437,25 @@ func (d *dp) compute(p, i int) *dpVal {
 	// wrapping items [i, j). Longest ranges first (Figure 3's style: one
 	// <d> absorbs both the text and the <e>).
 	for _, q := range succ {
-		sym := d.auto.Symbol(q)
-		if sym == contentmodel.PCDATASymbol {
+		sym := d.el.sym[q]
+		if sym == 0 {
 			continue
 		}
 		for j := len(d.items); j >= i; j-- {
 			if !d.canHost(sym, i, j) {
 				continue
 			}
-			if v := d.solve(q, j); v.ok {
-				return &dpVal{ok: true, kind: "host", q: q, j: j}
+			if d.solve(q, j).ok() {
+				return dpVal{kind: host, q: int32(q), j: j}
 			}
 		}
 	}
-	return &dpVal{ok: false, kind: "fail"}
+	return dpVal{kind: fail}
 }
 
-// canHost reports whether a fresh <elem> can contain items [i, j) as its
-// (completed) content.
-func (d *dp) canHost(elem string, i, j int) bool {
+// canHost reports whether a fresh element with id sym can contain items
+// [i, j) as its (completed) content.
+func (d *dp) canHost(sym int32, i, j int) bool {
 	if j == i {
 		// Empty host: any productive element (compilation guarantees all
 		// are) can be synthesized minimally.
@@ -371,122 +464,107 @@ func (d *dp) canHost(elem string, i, j int) bool {
 	if d.depth <= 0 {
 		return false
 	}
-	memoKey := hostKeyD{elem, d.off + i, d.off + j, d.depth - 1}
-	if v, ok := d.ctx.hostMemo[memoKey]; ok {
+	c := d.c
+	memoKey := hostKey{i: d.off + i, j: d.off + j, depth: d.depth - 1, elem: sym}
+	if v, ok := c.hosts[memoKey]; ok {
 		return v
 	}
-	key := hostKey{elem, d.off + i, d.off + j}
-	if d.stack[key] {
-		return false // cycle with no progress; not cached (stack-relative)
+	key := stackKey{i: d.off + i, j: d.off + j, elem: sym}
+	for _, k := range c.stack {
+		if k == key {
+			return false // cycle with no progress; not cached (stack-relative)
+		}
 	}
-	decl := d.c.schema.DTD.Elements[elem]
-	if decl == nil {
+	el := &c.elems[sym]
+	if el.decl == nil {
 		return false
 	}
-	switch decl.Category {
+	switch el.decl.Category {
 	case dtd.Empty:
-		d.ctx.hostMemo[memoKey] = false
+		c.hosts[memoKey] = false
 		return false
 	case dtd.Any:
 		// ANY hosts any declared elements and text.
 		ok := true
-		for _, it := range d.items[i:j] {
-			if it.Kind == dom.ElementNode && d.c.schema.DTD.Elements[it.Name] == nil {
+		for _, id := range d.syms[i:j] {
+			if id < 0 || (id > 0 && c.elems[id].decl == nil) {
 				ok = false
 				break
 			}
 		}
-		d.ctx.hostMemo[memoKey] = ok
+		c.hosts[memoKey] = ok
 		return ok
 	}
 	// Children and Mixed content: recurse with a sub-DP (mixed content may
 	// need further wrappers for elements outside its allowed set).
-	d.stack[key] = true
-	sub := &dp{
-		c:     d.c,
-		elem:  elem,
-		items: d.items[i:j],
-		auto:  d.c.automata[elem],
-		memo:  map[dpKey]*dpVal{},
-		depth: d.depth - 1,
-		off:   d.off + i,
-		ctx:   d.ctx,
-		stack: d.stack,
-	}
+	c.stack = append(c.stack, key)
+	sub := c.newDP(el, d.items[i:j], d.syms[i:j], d.depth-1, d.off+i)
 	_, ok := sub.solveStart()
-	delete(d.stack, key)
-	d.ctx.hostMemo[memoKey] = ok
+	c.release(sub)
+	c.stack = c.stack[:len(c.stack)-1]
+	c.hosts[memoKey] = ok
 	return ok
 }
 
 // render reconstructs the completed child list from the DP decisions.
-func (d *dp) render(start *dpVal, log *insLog) []*dom.Node {
-	var out []*dom.Node
+func (d *dp) render(start dpVal, log *insLog) []*dom.Node {
+	out := make([]*dom.Node, 0, len(d.items))
 	p, i := 0, 0
 	v := start
 	for {
 		switch v.kind {
-		case "accept":
+		case accept:
 			return out
-		case "skip":
-			p = v.q
-		case "consume":
+		case skip:
+			p = int(v.q)
+		case consume:
 			out = append(out, d.items[i])
 			i++
-			p = v.q
-		case "host":
-			elem := d.auto.Symbol(v.q)
-			host := d.buildHost(elem, i, v.j, log)
-			out = append(out, host)
+			p = int(v.q)
+		case host:
+			h := d.buildHost(d.el.sym[v.q], i, v.j, log)
+			out = append(out, h)
 			i = v.j
-			p = v.q
+			p = int(v.q)
 		default:
 			panic("complete: render on failed plan")
 		}
-		v = d.memo[dpKey{p, i}]
-		if v == nil {
+		v = d.memo[p*(len(d.items)+1)+i]
+		if v.kind == unset {
 			panic("complete: broken plan chain")
 		}
 	}
 }
 
-// buildHost constructs the inserted <elem> wrapping items [i, j),
-// completing its interior recursively.
-func (d *dp) buildHost(elem string, i, j int, log *insLog) *dom.Node {
+// buildHost constructs the inserted element with id sym wrapping items
+// [i, j), completing its interior recursively.
+func (d *dp) buildHost(sym int32, i, j int, log *insLog) *dom.Node {
+	el := &d.c.elems[sym]
 	if j == i {
-		host := d.c.synthesizeMinimal(elem)
-		log.addTree(host)
-		return host
+		h := d.c.synthesizeMinimal(el.name)
+		log.addTree(h)
+		return h
 	}
-	decl := d.c.schema.DTD.Elements[elem]
-	host := dom.NewElement(elem)
-	log.nodes = append(log.nodes, host)
-	if decl.Category == dtd.Any {
+	h := dom.NewElement(el.name)
+	log.nodes = append(log.nodes, h)
+	if el.decl.Category == dtd.Any {
 		// ANY: the items go in as-is.
 		for _, it := range d.items[i:j] {
-			host.Append(it)
+			h.Append(it)
 		}
-		return host
+		return h
 	}
-	sub := &dp{
-		c:     d.c,
-		elem:  elem,
-		items: d.items[i:j],
-		auto:  d.c.automata[elem],
-		memo:  map[dpKey]*dpVal{},
-		depth: d.depth - 1,
-		off:   d.off + i,
-		ctx:   d.ctx,
-		stack: d.stack,
-	}
+	sub := d.c.newDP(el, d.items[i:j], d.syms[i:j], d.depth-1, d.off+i)
+	defer d.c.release(sub)
 	plan, ok := sub.solveStart()
 	if !ok {
 		panic("complete: host became infeasible during render")
 	}
-	for _, ch := range sub.render(plan, log) {
-		host.Append(ch)
+	h.Children = sub.render(plan, log)
+	for _, ch := range h.Children {
+		ch.Parent = h
 	}
-	return host
+	return h
 }
 
 // synthesizeMinimal builds a minimal valid instance of elem (memoized,

@@ -1,0 +1,188 @@
+package complete
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dom"
+	"repro/internal/dtd"
+	"repro/internal/gen"
+)
+
+// goldenDigests pins, per corpus group, the SHA-256 of every completion's
+// inserted count, inserted element names (creation order) and serialized
+// output. The digests were recorded on the map-based DP that preceded the
+// dense-table rewrite, so any change to the search order, the cycle rule
+// or the host memo shows up here as a changed plan.
+var goldenDigests = map[string]string{
+	"figure1":             "0ae824e8ecc787e9dfe704ce4b734983f777a464521c8d734f3e14ed97dd629a",
+	"play":                "07fc4dca18f8f4d7a11e360faa361f99e340d082013e4fea617209e45aedca9e",
+	"article":             "9965ac2ce92107662dbffa1d0cb5b4c316880418e5d9700599aaa5229cd0043b",
+	"tei-lite":            "466d23adee89f55e856e2df010334bfb50fe27bfa5a03f8f5a8e6b73fb3cd3fd",
+	"random-nonrecursive": "846aae68cf1c1b234a42e0416e8389feef8575b652c2e6ee18528a4c652dc1c4",
+	"random-weak":         "309fd455a33cafe485e9628aed0428dee542ebc447085c99a291baad3b27b5f8",
+	"random-strong":       "22befb8835be58d1ab0f9742b1b90ff63524c89aee0cf20d7d5b42b56bacdbc2",
+}
+
+// goldenGroup is a named set of schemas, each with the documents
+// completed under it.
+type goldenGroup struct {
+	name  string
+	parts []goldenPart
+}
+
+type goldenPart struct {
+	schema *core.Schema
+	docs   []string
+}
+
+// decorate sprinkles comments and whitespace-only text into n's subtree so
+// the pin also covers how decorations are re-attached around wrappers.
+func decorate(rng *rand.Rand, n *dom.Node) {
+	var elems []*dom.Node
+	n.Walk(func(x *dom.Node) bool {
+		if x.Kind == dom.ElementNode {
+			elems = append(elems, x)
+		}
+		return true
+	})
+	for _, e := range elems {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		var c *dom.Node
+		if rng.Intn(2) == 0 {
+			c = &dom.Node{Kind: dom.CommentNode, Data: " note "}
+		} else {
+			c = dom.NewText("\n  ")
+		}
+		e.InsertChild(rng.Intn(len(e.Children)+1), c)
+	}
+}
+
+// strippedDocs draws n valid documents, strips a share of their tags
+// (cycling through fractions) and optionally decorates them. Documents
+// travel as text, exactly as the engine receives them.
+func strippedDocs(rng *rand.Rand, d *dtd.DTD, root string, n int, opts gen.DocOptions, fractions []float64, withDecorations bool) []string {
+	out := make([]string, 0, n)
+	for k := 0; k < n; k++ {
+		doc := gen.GenValid(rng, d, root, opts)
+		gen.Strip(rng, doc, fractions[k%len(fractions)])
+		if withDecorations && k%3 == 0 {
+			decorate(rng, doc)
+		}
+		out = append(out, doc.String())
+	}
+	return out
+}
+
+// goldenCorpus builds the seeded corpus: the paper's Figure 1, the Play,
+// Article and TEI-Lite fixtures, and random DTDs of all three recursion
+// classes.
+func goldenCorpus() []goldenGroup {
+	var groups []goldenGroup
+	fixture := func(name, src, root string, n int, opts gen.DocOptions, fractions []float64) {
+		d := dtd.MustParse(src)
+		rng := rand.New(rand.NewSource(int64(len(groups))*7919 + 1))
+		groups = append(groups, goldenGroup{name: name, parts: []goldenPart{{
+			schema: core.MustCompile(d, root, core.Options{}),
+			docs:   strippedDocs(rng, d, root, n, opts, fractions, true),
+		}}})
+	}
+	fixture("figure1", dtd.Figure1, "r", 450, gen.DocOptions{MaxDepth: 8, MaxRepeat: 4}, []float64{0.2, 0.5, 0.8, 1})
+	fixture("play", dtd.Play, "play", 400, gen.DocOptions{MaxDepth: 8, MaxRepeat: 3}, []float64{0.3, 0.5, 0.1})
+	fixture("article", dtd.Article, "article", 150, gen.DocOptions{MaxDepth: 8, MaxRepeat: 3}, []float64{0.3, 0.6})
+	fixture("tei-lite", dtd.TEILite, "TEI", 30, gen.DocOptions{MaxDepth: 6, MaxRepeat: 2}, []float64{0.3})
+	classes := []struct {
+		name  string
+		class gen.DTDClass
+	}{
+		{"random-nonrecursive", gen.ClassNonRecursive},
+		{"random-weak", gen.ClassWeak},
+		{"random-strong", gen.ClassStrong},
+	}
+	// Random documents stay small (depth 5, at most two repetitions):
+	// completion cost grows superlinearly with a node's item count, and a
+	// few 9 KB documents would dominate the pin's runtime.
+	for ci, cl := range classes {
+		g := goldenGroup{name: cl.name}
+		for seed := int64(0); seed < 30; seed++ {
+			rng := rand.New(rand.NewSource(seed*31 + int64(ci)))
+			d := gen.RandDTD(rng, gen.DTDOptions{Elements: 6 + int(seed%6), Class: cl.class})
+			schema, err := core.Compile(d, "e0", core.Options{MaxDepth: 6})
+			if err != nil {
+				panic(fmt.Sprintf("golden corpus: %s seed %d: %v", cl.name, seed, err))
+			}
+			g.parts = append(g.parts, goldenPart{
+				schema: schema,
+				docs:   strippedDocs(rng, d, "e0", 8, gen.DocOptions{MaxDepth: 5, MaxRepeat: 2}, []float64{0.4, 0.7}, seed%2 == 0),
+			})
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+// recordCompletion appends one completion's observable result to h: the
+// inserted count, the inserted element names in creation order and the
+// serialized output, or the error text when completion fails.
+func recordCompletion(h hash.Hash, c *Completer, src string) error {
+	doc, err := dom.Parse(src)
+	if err != nil {
+		return err
+	}
+	out, nodes, err := c.CompleteTracked(doc.Root)
+	if err != nil {
+		fmt.Fprintf(h, "error %s\n", err)
+		return nil
+	}
+	names := make([]string, len(nodes))
+	for k, n := range nodes {
+		names[k] = n.Name
+	}
+	doc.Root = out
+	fmt.Fprintf(h, "inserted %d [%s]\n%s\n", len(nodes), strings.Join(names, " "), doc.String())
+	return nil
+}
+
+// TestCompleteGoldenCorpus pins completion plans byte for byte over a
+// seeded corpus of stripped documents.
+func TestCompleteGoldenCorpus(t *testing.T) {
+	groups := goldenCorpus()
+	total := 0
+	got := map[string]string{}
+	for _, g := range groups {
+		h := sha256.New()
+		for pi, part := range g.parts {
+			c := New(part.schema)
+			for k, src := range part.docs {
+				if err := recordCompletion(h, c, src); err != nil {
+					t.Fatalf("%s part %d doc %d: %v", g.name, pi, k, err)
+				}
+			}
+			total += len(part.docs)
+		}
+		got[g.name] = hex.EncodeToString(h.Sum(nil))
+	}
+	if total < 1500 {
+		t.Fatalf("golden corpus has %d completions, want at least 1500", total)
+	}
+	all := sha256.New()
+	for _, g := range groups {
+		fmt.Fprintf(all, "%s %s\n", g.name, got[g.name])
+	}
+	t.Logf("%d completions over %d groups; corpus digest %x", total, len(groups), all.Sum(nil))
+	for _, g := range groups {
+		if want, ok := goldenDigests[g.name]; !ok {
+			t.Errorf("group %s: no pinned digest (got %s)", g.name, got[g.name])
+		} else if got[g.name] != want {
+			t.Errorf("group %s: completion digest %s, pinned %s", g.name, got[g.name], want)
+		}
+	}
+}

@@ -14,12 +14,14 @@ const PCDATASymbol = "#PCDATA"
 // expression. It matches sequences of symbols, where each symbol is an
 // element name or PCDATASymbol. Construction is the classical
 // first/last/follow computation; matching a sequence of length n over an
-// automaton with p positions costs O(n·p) in the worst case.
+// automaton with p positions costs O(n·p) in the worst case. The successor
+// lists are frozen, sorted, at construction, so reading them allocates
+// nothing.
 type Automaton struct {
-	symbols  []string       // symbol at each position, 1-based (index 0 unused)
-	first    map[int]bool   // positions reachable from the start
-	last     map[int]bool   // positions that can end a match
-	follow   []map[int]bool // follow sets, 1-based
+	symbols  []string // symbol at each position, 1-based (index 0 unused)
+	first    []int    // sorted positions reachable from the start
+	last     []bool   // last[p]: position p may end a match
+	follow   [][]int  // sorted follow lists, 1-based
 	nullable bool
 }
 
@@ -27,25 +29,32 @@ type Automaton struct {
 // yields an automaton accepting only the empty sequence (the EMPTY content
 // model).
 func CompileAutomaton(e *Expr) *Automaton {
+	d := &draft{symbols: []string{""}, follow: []map[int]bool{nil}}
+	info := posInfo{nullable: true}
+	if e != nil {
+		info = d.build(e)
+	}
 	a := &Automaton{
-		symbols: []string{""},
-		first:   map[int]bool{},
-		last:    map[int]bool{},
-		follow:  []map[int]bool{nil},
-	}
-	if e == nil {
-		a.nullable = true
-		return a
-	}
-	info := a.build(e)
-	a.nullable = info.nullable
-	for p := range info.first {
-		a.first[p] = true
+		symbols:  d.symbols,
+		first:    sortedKeys(info.first),
+		last:     make([]bool, len(d.symbols)),
+		follow:   make([][]int, len(d.symbols)),
+		nullable: info.nullable,
 	}
 	for p := range info.last {
 		a.last[p] = true
 	}
+	for p := 1; p < len(d.symbols); p++ {
+		a.follow[p] = sortedKeys(d.follow[p])
+	}
 	return a
+}
+
+// draft accumulates positions and follow sets as maps while the
+// expression is walked; CompileAutomaton freezes them into sorted lists.
+type draft struct {
+	symbols []string
+	follow  []map[int]bool
 }
 
 type posInfo struct {
@@ -58,35 +67,35 @@ func newPosInfo() posInfo {
 	return posInfo{first: map[int]bool{}, last: map[int]bool{}}
 }
 
-func (a *Automaton) newPosition(sym string) int {
-	a.symbols = append(a.symbols, sym)
-	a.follow = append(a.follow, map[int]bool{})
-	return len(a.symbols) - 1
+func (d *draft) newPosition(sym string) int {
+	d.symbols = append(d.symbols, sym)
+	d.follow = append(d.follow, map[int]bool{})
+	return len(d.symbols) - 1
 }
 
-func (a *Automaton) build(e *Expr) posInfo {
+func (d *draft) build(e *Expr) posInfo {
 	switch e.Kind {
 	case KindName:
-		p := a.newPosition(e.Name)
+		p := d.newPosition(e.Name)
 		info := newPosInfo()
 		info.first[p] = true
 		info.last[p] = true
 		return info
 	case KindPCDATA:
-		p := a.newPosition(PCDATASymbol)
+		p := d.newPosition(PCDATASymbol)
 		info := newPosInfo()
 		info.first[p] = true
 		info.last[p] = true
 		info.nullable = true // character data may be empty
 		return info
 	case KindSeq:
-		info := a.build(e.Children[0])
+		info := d.build(e.Children[0])
 		for _, c := range e.Children[1:] {
-			right := a.build(c)
+			right := d.build(c)
 			// follow(last(left)) += first(right)
 			for lp := range info.last {
 				for rp := range right.first {
-					a.follow[lp][rp] = true
+					d.follow[lp][rp] = true
 				}
 			}
 			merged := newPosInfo()
@@ -113,7 +122,7 @@ func (a *Automaton) build(e *Expr) posInfo {
 	case KindChoice:
 		info := newPosInfo()
 		for _, c := range e.Children {
-			ci := a.build(c)
+			ci := d.build(c)
 			for p := range ci.first {
 				info.first[p] = true
 			}
@@ -124,10 +133,10 @@ func (a *Automaton) build(e *Expr) posInfo {
 		}
 		return info
 	case KindStar, KindPlus:
-		info := a.build(e.Children[0])
+		info := d.build(e.Children[0])
 		for lp := range info.last {
 			for fp := range info.first {
-				a.follow[lp][fp] = true
+				d.follow[lp][fp] = true
 			}
 		}
 		if e.Kind == KindStar {
@@ -135,7 +144,7 @@ func (a *Automaton) build(e *Expr) posInfo {
 		}
 		return info
 	case KindOpt:
-		info := a.build(e.Children[0])
+		info := d.build(e.Children[0])
 		info.nullable = true
 		return info
 	}
@@ -148,11 +157,13 @@ func (a *Automaton) Positions() int { return len(a.symbols) - 1 }
 // Symbol returns the symbol carried by position p (1-based).
 func (a *Automaton) Symbol(p int) string { return a.symbols[p] }
 
-// First returns the sorted positions reachable from the start.
-func (a *Automaton) First() []int { return sortedKeys(a.first) }
+// First returns the sorted positions reachable from the start. The slice
+// is the automaton's own and must not be modified.
+func (a *Automaton) First() []int { return a.first }
 
-// Follow returns the sorted positions following position p.
-func (a *Automaton) Follow(p int) []int { return sortedKeys(a.follow[p]) }
+// Follow returns the sorted positions following position p. The slice is
+// the automaton's own and must not be modified.
+func (a *Automaton) Follow(p int) []int { return a.follow[p] }
 
 // Last reports whether position p may end a match.
 func (a *Automaton) Last(p int) bool { return a.last[p] }
@@ -176,29 +187,45 @@ func (a *Automaton) Match(symbols []string) bool {
 		return a.nullable
 	}
 	state := a.first
+	var bufs [2][]int
+	inNext := make([]bool, len(a.symbols))
 	for i, sym := range symbols {
-		next := map[int]bool{}
-		for p := range state {
-			if a.symbols[p] == sym {
-				if i == len(symbols)-1 {
-					if a.last[p] {
-						return true
-					}
-				}
-				for q := range a.follow[p] {
-					next[q] = true
-				}
+		final := i == len(symbols)-1
+		next := bufs[i%2][:0]
+		for _, p := range state {
+			if a.symbols[p] != sym {
+				continue
 			}
+			if final {
+				if a.last[p] {
+					return true
+				}
+				continue // only the last-position check can accept
+			}
+			next = a.appendFollow(next, p, inNext)
 		}
-		if i == len(symbols)-1 {
-			return false // only the last-position check above can accept
-		}
-		if len(next) == 0 {
+		if final || len(next) == 0 {
 			return false
 		}
+		for _, q := range next {
+			inNext[q] = false
+		}
+		bufs[i%2] = next
 		state = next
 	}
 	return false
+}
+
+// appendFollow adds the follow positions of p not yet marked in inNext to
+// next, marking them.
+func (a *Automaton) appendFollow(next []int, p int, inNext []bool) []int {
+	for _, q := range a.follow[p] {
+		if !inNext[q] {
+			inNext[q] = true
+			next = append(next, q)
+		}
+	}
+	return next
 }
 
 // MatchPrefix reports whether symbols is a prefix of some sequence in the
@@ -207,20 +234,24 @@ func (a *Automaton) Match(symbols []string) bool {
 // whole input is viable.
 func (a *Automaton) MatchPrefix(symbols []string) int {
 	state := a.first
+	var bufs [2][]int
+	inNext := make([]bool, len(a.symbols))
 	for i, sym := range symbols {
-		next := map[int]bool{}
+		next := bufs[i%2][:0]
 		matched := false
-		for p := range state {
+		for _, p := range state {
 			if a.symbols[p] == sym {
 				matched = true
-				for q := range a.follow[p] {
-					next[q] = true
-				}
+				next = a.appendFollow(next, p, inNext)
 			}
 		}
 		if !matched {
 			return i
 		}
+		for _, q := range next {
+			inNext[q] = false
+		}
+		bufs[i%2] = next
 		state = next
 	}
 	return len(symbols)
@@ -236,6 +267,8 @@ type DeterminismViolation struct {
 	Context string
 }
 
+// String renders the violation as a one-line lint message naming the
+// ambiguous symbol and where the ambiguity arises.
 func (v DeterminismViolation) String() string {
 	return fmt.Sprintf("content model is not deterministic: symbol %q is ambiguous in %s", v.Symbol, v.Context)
 }
@@ -246,15 +279,15 @@ func (v DeterminismViolation) String() string {
 // not require determinism, so this check is surfaced as a lint.
 func (a *Automaton) CheckDeterminism() []DeterminismViolation {
 	var out []DeterminismViolation
-	check := func(set map[int]bool, context string) {
-		seen := map[string]int{}
+	check := func(set []int, context string) {
+		seen := map[string]bool{}
 		var dup []string
-		for p := range set {
+		for _, p := range set {
 			sym := a.symbols[p]
-			if _, ok := seen[sym]; ok {
+			if seen[sym] {
 				dup = append(dup, sym)
 			}
-			seen[sym] = p
+			seen[sym] = true
 		}
 		sort.Strings(dup)
 		prev := ""

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dom"
 )
@@ -52,12 +53,13 @@ func (s *Schema) CheckDocument(root *dom.Node) *Violation {
 			Reason: fmt.Sprintf("root element <%s> is not declared", root.Name),
 		}
 	}
+	c := nodeChecker{s: s}
 	var violation *Violation
 	root.Walk(func(n *dom.Node) bool {
 		if violation != nil || n.Kind != dom.ElementNode {
 			return false
 		}
-		if v := s.checkNode(n); v != nil {
+		if v := c.check(n); v != nil {
 			violation = v
 			return false
 		}
@@ -66,16 +68,33 @@ func (s *Schema) CheckDocument(root *dom.Node) *Violation {
 	return violation
 }
 
-// checkNode runs Problem ECPV on one element node.
-func (s *Schema) checkNode(n *dom.Node) *Violation {
+// nodeChecker runs Problem ECPV node by node for one CheckDocument call,
+// recycling one recognizer (through reinit) and one symbol buffer across
+// the document's elements.
+type nodeChecker struct {
+	s   *Schema
+	rec *Recognizer
+	buf []Symbol
+}
+
+// check runs Problem ECPV on one element node. A returned Violation owns
+// its Symbols; the buffer stays with the checker.
+func (c *nodeChecker) check(n *dom.Node) *Violation {
+	s := c.s
 	if !s.LT.Has(n.Name) {
 		return &Violation{
 			Node: n, Element: n.Name, SymbolIndex: -1,
 			Reason: fmt.Sprintf("element <%s> is not declared in the DTD", n.Name),
 		}
 	}
-	symbols := ChildSymbols(n, s.opts.IgnoreWhitespaceText)
-	if idx := s.CheckContentPrefix(n.Name, symbols); idx < len(symbols) {
+	c.buf = appendChildSymbols(c.buf[:0], n, s.opts.IgnoreWhitespaceText)
+	if c.rec == nil {
+		c.rec = s.NewRecognizer(n.Name)
+	} else {
+		c.rec.reinit(s, n.Name, s.depth)
+	}
+	if idx := validPrefix(c.rec, c.buf); idx < len(c.buf) {
+		symbols := slices.Clone(c.buf)
 		return &Violation{
 			Node: n, Element: n.Name, SymbolIndex: idx, Symbols: symbols,
 			Reason: fmt.Sprintf("content of <%s> is not potentially valid: symbol %s rejected at position %d of [%s]",

@@ -4,14 +4,17 @@ import "repro/internal/dag"
 
 // NaiveRecognizer is a literal transcription of the Figure 5 pseudocode,
 // kept as an executable ablation of the two corrections the production
-// Recognizer applies (see DESIGN.md §2 and EXPERIMENTS.md "Deviations"):
+// Recognizer applies:
 //
 //  1. line 29 is applied as printed — a simple node matches its own element
 //     tag even when its nested recognizer has already consumed input
-//     (unsound: accepts content like c, b under a → (b, c), b → (c));
+//     (unsound: accepts content like c, b under a → (b, c), b → (c); pinned
+//     by TestNaiveUnsoundLine29 and TestEngagedNodeCannotSelfMatch);
 //  2. the active node set has set-of-DAG-nodes semantics — at most one
 //     entry per DAG node — so an engaged entry shadows the fresh position
-//     (incomplete: rejects content like b, σ, e, d under the Figure 1 DTD).
+//     (incomplete: rejects content like b, σ, e, d under the Figure 1 DTD
+//     once 1 is fixed; pinned by TestNaiveLine29MasksShadowing and
+//     TestEngagedDoesNotShadowFreshPosition).
 //
 // It must never be used for real checking; tests use it to pin down the
 // exact behavioral difference, and the ablation benchmark uses it to show

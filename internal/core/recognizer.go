@@ -17,11 +17,12 @@ import (
 // that PV-strong recursive DTDs terminate (Section 4.3.1, Figure 7).
 //
 // One deliberate soundness correction relative to the Figure 5 pseudocode
-// (see DESIGN.md §2): a simple node whose nested recognizer has already
-// consumed input ("engaged") no longer matches its own element tag — those
-// consumed symbols precede the tag in document order and could not be moved
-// inside it. The node can still be ε-advanced past, closing the
-// hypothesized element (Theorem 3 lets the unmatched remainder derive ε).
+// (pinned by TestEngagedNodeCannotSelfMatch and TestNaiveUnsoundLine29): a
+// simple node whose nested recognizer has already consumed input
+// ("engaged") no longer matches its own element tag — those consumed
+// symbols precede the tag in document order and could not be moved inside
+// it. The node can still be ε-advanced past, closing the hypothesized
+// element (Theorem 3 lets the unmatched remainder derive ε).
 type Recognizer struct {
 	schema  *Schema
 	element string

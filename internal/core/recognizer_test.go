@@ -192,7 +192,8 @@ func TestT2DepthLadder(t *testing.T) {
 }
 
 // TestEngagedNodeCannotSelfMatch is the regression test for the Figure 5
-// line 29 soundness correction (DESIGN.md §2): with
+// line 29 soundness correction (the paper-literal side is
+// TestNaiveUnsoundLine29): with
 // <!ELEMENT a (b, c)> <!ELEMENT b (c)>, the content c, b of <a> has no
 // insertion-only extension — the c precedes the b in document order, and
 // insertions cannot reorder or lift content.

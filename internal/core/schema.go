@@ -116,9 +116,11 @@ func Compile(d *dtd.DTD, root string, opts Options) (*Schema, error) {
 	}
 	// For non-PV-strong DTDs nested recognizers implement missing
 	// intermediate elements along acyclic chains only, so a bound of
-	// longest-chain+2 makes the algorithm complete (DESIGN.md §2). For
-	// PV-strong DTDs the user bound is the semantics; we still never go
-	// below the acyclic-chain requirement.
+	// longest-chain+2 makes the algorithm complete (the crosscheck oracle
+	// agreement tests TestECPVAgainstOracleRandomDTDs and
+	// TestTheorem1OracleAgreement tolerate no miss outside PV-strong
+	// DTDs). For PV-strong DTDs the user bound is the semantics; we still
+	// never go below the acyclic-chain requirement.
 	minComplete := lt.LongestStrongChain() + 2
 	s.depth = opts.MaxDepth
 	if s.depth < minComplete {
@@ -223,7 +225,12 @@ func (s *Schema) CheckContent(elem string, symbols []Symbol) bool {
 // CheckContentPrefix returns the number of symbols accepted before the
 // first rejection; len(symbols) means the whole sequence is accepted.
 func (s *Schema) CheckContentPrefix(elem string, symbols []Symbol) int {
-	r := s.NewRecognizer(elem)
+	return validPrefix(s.NewRecognizer(elem), symbols)
+}
+
+// validPrefix feeds symbols to r and returns the index of the first one it
+// rejects, or len(symbols) if it accepts them all.
+func validPrefix(r *Recognizer, symbols []Symbol) int {
 	for i, x := range symbols {
 		if !r.Validate(x) {
 			return i

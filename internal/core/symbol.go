@@ -55,7 +55,11 @@ func Elems(names ...string) []Symbol {
 // layer) yields one σ; comments and processing instructions are invisible.
 // Whitespace-only text yields no symbol when ignoreWS is set.
 func ChildSymbols(n *dom.Node, ignoreWS bool) []Symbol {
-	var out []Symbol
+	return appendChildSymbols(nil, n, ignoreWS)
+}
+
+// appendChildSymbols appends n's Δ_T sequence to out.
+func appendChildSymbols(out []Symbol, n *dom.Node, ignoreWS bool) []Symbol {
 	lastText := false
 	for _, c := range n.Children {
 		switch c.Kind {

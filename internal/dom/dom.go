@@ -224,6 +224,9 @@ func (n *Node) Clone() *Node {
 	if len(n.Attrs) > 0 {
 		c.Attrs = append([]xmltext.Attr(nil), n.Attrs...)
 	}
+	if len(n.Children) > 0 {
+		c.Children = make([]*Node, 0, len(n.Children))
+	}
 	for _, ch := range n.Children {
 		cc := ch.Clone()
 		cc.Parent = c
