@@ -8,17 +8,21 @@
 // model position that carries an element symbol to be satisfied either by
 // a real child with that name or by a *inserted* element wrapping a
 // consecutive run of the remaining children (possibly empty). The search is
-// a memoized dynamic program over (Glushkov position, input index), with
-// inserted-wrapper feasibility decided recursively under the same depth
-// bound the checker uses.
+// a memoized dynamic program over (Glushkov position, input index). Which
+// runs an inserted element can wrap comes from one table per arrangement:
+// H(e, i, d), the furthest item an inserted e can wrap from item i within
+// depth budget d (the checker's bound), computed once per (element, start,
+// depth) by a forward sweep over e's model. The hostable ranges from i are
+// exactly [i, H], so the DP asks one question per element successor and
+// its cost is bounded: see the cost tests.
 //
 // The hot path never hashes a string: element names are interned to int32
-// ids once per Completer, each (sub-)DP memoizes into one dense table, and
-// host verdicts and the cycle guard use integer keys.
+// ids once per Completer, and the DP memos and the H table are dense.
 package complete
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/contentmodel"
 	"repro/internal/core"
@@ -37,15 +41,29 @@ type Completer struct {
 	ids     map[string]int32
 	elems   []elemInfo           // indexed by id; elems[0] is unused
 	minimal map[string]*dom.Node // memoized minimal valid instances
+	// depth is the schema's depth bound and deep the larger budget a node
+	// falls back on when the bound finds no embedding (see arrange).
+	depth, deep int
+	// levels holds one sweep's scratch per depth budget: a sweep at budget
+	// d only starts sweeps at d-1, so no two live sweeps share a level.
+	levels           []sweepScratch
+	maxWords, maxPos int // the largest model's bitset words and positions
 
 	// Scratch for one arrange call and all its sub-DPs. arrange clears
 	// items before it returns, so an idle Completer holds no document.
-	items []*dom.Node      // the arrangement's items
-	syms  []int32          // their symbol ids
-	hosts map[hostKey]bool // canHost verdicts
-	stack []stackKey       // canHost questions being decided
-	arena []dpVal          // backing store for the DP memo tables
-	top   int              // arena entries in use
+	items []*dom.Node // the arrangement's items
+	syms  []int32     // their symbol ids
+	arena []dpVal     // backing store for the DP memo tables
+	top   int         // arena entries in use
+	// The H table: rows[d*len(elems)+e] locates H(e, ·, d) in ends. A row
+	// belongs to the current arrangement only when its gen is gen.
+	rows    []endRow
+	ends    []int32
+	endsTop int // ends entries in use
+	gen     uint32
+
+	// work counts DP states computed plus sweep steps. Only tests read it.
+	work int
 }
 
 // elemInfo is one interned element: its declaration and, for Children and
@@ -63,6 +81,28 @@ type elemInfo struct {
 	// end[p] reports whether the model may stop after p (end[0]: the model
 	// is nullable).
 	end []bool
+	// The sweep's bitsets over positions 0..len(sym)-1, words uint64s
+	// each: reach[p*words:] holds the positions reachable from p in one or
+	// more follow steps, and endSet the positions end marks.
+	words  int
+	reach  []uint64
+	endSet []uint64
+}
+
+// endRow locates one row H(e, ·, d) of the H table.
+type endRow struct {
+	gen uint32
+	off int32 // index of H(e, 0, d) in Completer.ends
+	// sat is the smallest start known to give H = len(items), or
+	// len(items)+1: H is non-decreasing in the start, so every start from
+	// sat on gives len(items) too.
+	sat int32
+}
+
+// sweepScratch is one sweep's working sets (see sweep).
+type sweepScratch struct {
+	cur, next, reach, open []uint64
+	until                  []int32
 }
 
 // New builds a Completer for the schema.
@@ -72,10 +112,12 @@ func New(schema *core.Schema) *Completer {
 		ids:     map[string]int32{},
 		elems:   []elemInfo{{}},
 		minimal: map[string]*dom.Node{},
+		depth:   schema.EffectiveDepth(),
 	}
 	for _, name := range schema.DTD.Order {
 		c.intern(name)
 	}
+	c.maxWords, c.maxPos = 1, 1
 	for id := 1; id < len(c.elems); id++ {
 		decl := c.elems[id].decl
 		if decl == nil || (decl.Category != dtd.Children && decl.Category != dtd.Mixed) {
@@ -95,8 +137,66 @@ func New(schema *core.Schema) *Completer {
 		}
 		el := &c.elems[id]
 		el.sym, el.succ, el.end = sym, succ, end
+		el.words = n/64 + 1
+		el.reach = reachSets(succ, el.words)
+		el.endSet = make([]uint64, el.words)
+		for p, ok := range end {
+			if ok {
+				el.endSet[p/64] |= 1 << (p % 64)
+			}
+		}
+		c.maxWords, c.maxPos = max(c.maxWords, el.words), max(c.maxPos, n+1)
 	}
+	c.deep = c.depth - 1 + len(c.elems) - 1
+	c.reserve(c.depth)
 	return c
+}
+
+// reserve readies the H table's rows and the sweep scratch for the depth
+// budgets below depth.
+func (c *Completer) reserve(depth int) {
+	if need := depth * len(c.elems); len(c.rows) < need {
+		c.rows = append(c.rows, make([]endRow, need-len(c.rows))...)
+	}
+	for len(c.levels) < depth {
+		w, n := c.maxWords, c.maxPos
+		words := make([]uint64, 4*w)
+		c.levels = append(c.levels, sweepScratch{
+			cur:   words[:w:w],
+			next:  words[w : 2*w : 2*w],
+			reach: words[2*w : 3*w : 3*w],
+			open:  words[3*w:],
+			until: make([]int32, n),
+		})
+	}
+}
+
+// reachSets returns, for each position p of a model with successor lists
+// succ, the bitset of positions reachable from p in one or more follow
+// steps, words uint64s per position.
+func reachSets(succ [][]int, words int) []uint64 {
+	reach := make([]uint64, len(succ)*words)
+	for p, qs := range succ {
+		for _, q := range qs {
+			reach[p*words+q/64] |= 1 << (q % 64)
+		}
+	}
+	// Close under composition: whatever q reaches, every p before it does.
+	for changed := true; changed; {
+		changed = false
+		for p := len(succ) - 1; p >= 0; p-- {
+			row := reach[p*words : (p+1)*words]
+			for _, q := range succ[p] {
+				for w, v := range reach[q*words : (q+1)*words] {
+					if row[w]|v != row[w] {
+						row[w] |= v
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	return reach
 }
 
 // intern returns name's id, assigning the next one on first sight.
@@ -148,7 +248,7 @@ func (c *Completer) CompleteTracked(root *dom.Node) (*dom.Node, []*dom.Node, err
 	}
 	out := root.Clone()
 	log := &insLog{}
-	if err := c.completeNode(out, c.schema.EffectiveDepth(), log); err != nil {
+	if err := c.completeNode(out, c.depth, log); err != nil {
 		return nil, nil, err
 	}
 	return out, log.nodes, nil
@@ -239,6 +339,18 @@ func (c *Completer) arrange(el *elemInfo, children []*dom.Node, depth int, log *
 	c.resetScratch()
 	d := c.newDP(el, items, c.syms, depth, 0)
 	plan, ok := d.solveStart()
+	if !ok && c.deep > depth {
+		// The checker lets a star group take any symbol reachable from one
+		// of its members without spending depth (Proposition 2(2)). So a
+		// node it accepts may need wrappers nested deeper than the bound:
+		// below the bound's depth-1 hypothesized levels, a chain of at most
+		// one wrapper per element type. Nodes that fit the bound keep their
+		// plans; the others are arranged again with that budget.
+		c.reserve(c.deep)
+		c.resetScratch()
+		d = c.newDP(el, items, c.syms, c.deep, 0)
+		plan, ok = d.solveStart()
+	}
 	var out []*dom.Node
 	if ok {
 		// Re-attach decorations: items keep their original relative order;
@@ -302,23 +414,8 @@ type dp struct {
 	memo  []dpVal
 	depth int
 	// off is the absolute offset of items[0] within the top-level
-	// arrangement's item list; host memoization is keyed on absolute
-	// ranges so equivalent sub-problems are shared across the recursion.
+	// arrangement's item list, the H table's coordinates.
 	off int
-}
-
-// hostKey identifies one canHost verdict: the element, the absolute item
-// range and the depth budget. The depth is part of the key because a range
-// hostable with a deep budget may be infeasible with a shallow one.
-type hostKey struct {
-	i, j, depth int
-	elem        int32
-}
-
-// stackKey identifies a canHost question on the cycle-guard stack.
-type stackKey struct {
-	i, j int
-	elem int32
 }
 
 // The kinds of a DP state. The zero value marks a state not yet visited;
@@ -342,29 +439,32 @@ type dpVal struct {
 
 func (v dpVal) ok() bool { return v.kind >= accept }
 
-// The largest memo arena (in entries, 16 bytes each) and host memo (in
-// verdicts) a Completer keeps for the next arrangement. On the
-// BenchmarkCompleteCorpus mix no arrangement needs more than 463 entries
-// or 2,479 verdicts.
+// The largest memo arena (in entries, 16 bytes each) and H table (in
+// entries, 4 bytes each) a Completer keeps for the next arrangement. On
+// the BenchmarkCompleteCorpus mix no arrangement needs more than 270 arena
+// entries or 408 table entries.
 const (
-	maxRetainedMemo  = 1 << 16
-	maxRetainedHosts = 1 << 14
+	maxRetainedMemo = 1 << 16
+	maxRetainedEnds = 1 << 16
 )
 
-// resetScratch readies the scratch for a new arrangement. An arena or host
-// memo an unusually large arrangement grew past its bound is dropped
-// rather than kept in a pooled Completer: the arena would pin its memory,
-// and clearing a map costs its whole capacity, which never shrinks.
+// resetScratch readies the scratch for a new arrangement. An arena or H
+// table an unusually large arrangement grew past its bound is dropped
+// rather than kept in a pooled Completer, where it would pin its memory.
+// Bumping gen retires every row of the H table at once.
 func (c *Completer) resetScratch() {
 	if len(c.arena) > maxRetainedMemo {
 		c.arena = nil
 	}
 	c.top = 0
-	c.stack = c.stack[:0]
-	if c.hosts == nil || len(c.hosts) > maxRetainedHosts {
-		c.hosts = map[hostKey]bool{}
-	} else {
-		clear(c.hosts)
+	if len(c.ends) > maxRetainedEnds {
+		c.ends = nil
+	}
+	c.endsTop = 0
+	c.gen++
+	if c.gen == 0 { // wrapped around: no old row may look current
+		clear(c.rows)
+		c.gen = 1
 	}
 }
 
@@ -407,6 +507,7 @@ func (d *dp) solve(p, i int) dpVal {
 }
 
 func (d *dp) compute(p, i int) dpVal {
+	d.c.work++
 	if i == len(d.items) && d.el.end[p] {
 		return dpVal{kind: accept}
 	}
@@ -434,76 +535,165 @@ func (d *dp) compute(p, i int) dpVal {
 		}
 	}
 	// Pass 3 — host: insert a fresh element at an element position,
-	// wrapping items [i, j). Longest ranges first (Figure 3's style: one
-	// <d> absorbs both the text and the <e>).
+	// wrapping the longest hostable range [i, j) (Figure 3's style: one <d>
+	// absorbs both the text and the <e>). The hostable ends are exactly
+	// i..H, and solve(q, ·) only gains by starting later (dropping the first
+	// item keeps a suffix embeddable), so if hosting up to H fails, every
+	// shorter range fails too.
 	for _, q := range succ {
 		sym := d.el.sym[q]
 		if sym == 0 {
 			continue
 		}
-		for j := len(d.items); j >= i; j-- {
-			if !d.canHost(sym, i, j) {
-				continue
-			}
-			if d.solve(q, j).ok() {
-				return dpVal{kind: host, q: int32(q), j: j}
-			}
+		j := i
+		if d.depth > 0 {
+			j = min(d.c.hostEnd(sym, d.off+i, d.depth-1)-d.off, len(d.items))
+		}
+		if d.solve(q, j).ok() {
+			return dpVal{kind: host, q: int32(q), j: j}
 		}
 	}
 	return dpVal{kind: fail}
 }
 
-// canHost reports whether a fresh element with id sym can contain items
-// [i, j) as its (completed) content.
-func (d *dp) canHost(sym int32, i, j int) bool {
-	if j == i {
-		// Empty host: any productive element (compilation guarantees all
-		// are) can be synthesized minimally.
-		return true
+// hostEnd returns H(e, i, d), the largest k such that a fresh element with
+// id e can contain items [i, k) of the arrangement as its completed
+// content, with depth budget d for its own insertions. H(e, i, d) ≥ i: an
+// empty insertion always works. The hostable ends from i are exactly
+// i..H(e, i, d), since dropping the last wrapped item keeps a range
+// hostable; dropping the first does too, so H is non-decreasing in i.
+func (c *Completer) hostEnd(e int32, i, d int) int {
+	n := len(c.syms)
+	el := &c.elems[e]
+	if i == n || el.decl == nil || el.decl.Category == dtd.Empty {
+		return i
 	}
-	if d.depth <= 0 {
-		return false
+	r := c.row(e, d)
+	if i >= int(r.sat) {
+		return n
 	}
-	c := d.c
-	memoKey := hostKey{i: d.off + i, j: d.off + j, depth: d.depth - 1, elem: sym}
-	if v, ok := c.hosts[memoKey]; ok {
-		return v
+	if h := c.ends[int(r.off)+i]; h >= 0 {
+		return int(h)
 	}
-	key := stackKey{i: d.off + i, j: d.off + j, elem: sym}
-	for _, k := range c.stack {
-		if k == key {
-			return false // cycle with no progress; not cached (stack-relative)
-		}
-	}
-	el := &c.elems[sym]
-	if el.decl == nil {
-		return false
-	}
-	switch el.decl.Category {
-	case dtd.Empty:
-		c.hosts[memoKey] = false
-		return false
-	case dtd.Any:
+	h := i
+	if el.decl.Category == dtd.Any {
 		// ANY hosts any declared elements and text.
-		ok := true
-		for _, id := range d.syms[i:j] {
-			if id < 0 || (id > 0 && c.elems[id].decl == nil) {
-				ok = false
+		for h < n && c.syms[h] >= 0 && (c.syms[h] == 0 || c.elems[c.syms[h]].decl != nil) {
+			h++
+		}
+	} else {
+		h = c.sweep(el, i, d)
+	}
+	c.ends[int(r.off)+i] = int32(h)
+	if h == n {
+		r.sat = int32(i)
+	}
+	return h
+}
+
+// row returns the (e, d) row of the H table, claiming len(items)+1
+// unknown (-1) entries for it on its first use in this arrangement.
+func (c *Completer) row(e int32, d int) *endRow {
+	r := &c.rows[d*len(c.elems)+int(e)]
+	if r.gen == c.gen {
+		return r
+	}
+	size := len(c.syms) + 1
+	if c.endsTop+size > len(c.ends) {
+		grown := make([]int32, max(2*len(c.ends), c.endsTop+size))
+		copy(grown, c.ends[:c.endsTop])
+		c.ends = grown
+	}
+	for k := c.endsTop; k < c.endsTop+size; k++ {
+		c.ends[k] = -1
+	}
+	*r = endRow{gen: c.gen, off: int32(c.endsTop), sat: int32(size)}
+	c.endsTop += size
+	return r
+}
+
+// sweep computes H(e, i, d) for an element with Children or Mixed content
+// by running e's model forward over items i, i+1, …, N. Before item k, cur
+// holds the positions at which items [i, k) can end: the start, positions
+// whose symbol matched item k-1, and positions whose inserted element can
+// wrap through item k-1. Their closure under "follow" is free — a
+// successor is entered without consuming an item, a PCDATA position
+// through empty text and an element position through an empty insertion —
+// and k is a hostable end when the closure meets an end position. A
+// non-hostable k ends the sweep, since hostable ends form the prefix i..H.
+// Item k moves to the successors whose symbol it matches, and, with budget
+// left, every element successor q opens the wrap interval (k, H(e_q, k,
+// d-1)]. The nested H has a smaller budget, so the recursion ends.
+func (c *Completer) sweep(el *elemInfo, i, d int) int {
+	s := &c.levels[d]
+	w := el.words
+	cur, next, reach, open, until := s.cur[:w], s.next[:w], s.reach[:w], s.open[:w], s.until
+	clear(cur)
+	clear(open)
+	cur[0] = 1 // the virtual start
+	n := len(c.syms)
+	h := i
+	for k := i; ; k++ {
+		c.work++
+		for x, word := range open {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				if int(until[x*64+b]) >= k {
+					cur[x] |= 1 << b
+				} else {
+					open[x] &^= 1 << b
+				}
+			}
+		}
+		clear(reach)
+		for x, word := range cur {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				for y, v := range el.reach[(x*64+b)*w : (x*64+b+1)*w] {
+					reach[y] |= v
+				}
+			}
+		}
+		hostable := false
+		for y, v := range el.endSet {
+			if (cur[y]|reach[y])&v != 0 {
+				hostable = true
 				break
 			}
 		}
-		c.hosts[memoKey] = ok
-		return ok
+		if !hostable {
+			break
+		}
+		h = k
+		if k == n {
+			break
+		}
+		clear(next)
+		item := c.syms[k]
+		for x, word := range reach {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				q := x*64 + b
+				sym := el.sym[q]
+				if sym == item {
+					next[x] |= 1 << b
+				}
+				if sym != 0 && d > 0 {
+					// H is non-decreasing in the start, so this interval
+					// ends no earlier than one q opened before.
+					if end := c.hostEnd(sym, k, d-1); end > k {
+						until[q] = int32(end)
+						open[x] |= 1 << b
+					}
+				}
+			}
+		}
+		cur, next = next, cur
 	}
-	// Children and Mixed content: recurse with a sub-DP (mixed content may
-	// need further wrappers for elements outside its allowed set).
-	c.stack = append(c.stack, key)
-	sub := c.newDP(el, d.items[i:j], d.syms[i:j], d.depth-1, d.off+i)
-	_, ok := sub.solveStart()
-	c.release(sub)
-	c.stack = c.stack[:len(c.stack)-1]
-	c.hosts[memoKey] = ok
-	return ok
+	return h
 }
 
 // render reconstructs the completed child list from the DP decisions.
@@ -538,6 +728,15 @@ func (d *dp) render(start dpVal, log *insLog) []*dom.Node {
 
 // buildHost constructs the inserted element with id sym wrapping items
 // [i, j), completing its interior recursively.
+//
+// The sub-DP cannot fail. j ≤ H(sym, off+i, depth-1), so the sweep found
+// an embedding of the range. The sub-DP searches a fixed graph: its host
+// edges come from the H table, not from the search itself. A depth-first
+// search over a fixed graph that counts an in-progress state as failure
+// still decides exactly whether its root reaches an accepting state. And
+// the one host edge the DP keeps per successor (to the range end
+// min(H, j)) loses no embedding, since every state it drops reaches accept
+// only if the state it keeps does.
 func (d *dp) buildHost(sym int32, i, j int, log *insLog) *dom.Node {
 	el := &d.c.elems[sym]
 	if j == i {

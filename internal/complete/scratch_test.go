@@ -11,8 +11,9 @@ import (
 )
 
 // scratchDTD declares <s>, whose 301-position model gives 250 children a
-// memo table of 301·251 entries, and <t>, whose <x> children can only be
-// paired into inserted <w>s, so that canHost is asked about every range.
+// memo table of 301·251 entries, and <u>, whose <x> children can only go
+// into an inserted <v>: sweeping v's model asks for H(y_k, i, ·) of all
+// 100 <y_k>s at every item, which fills 100 rows of the H table.
 func scratchDTD() *dtd.DTD {
 	var b strings.Builder
 	b.WriteString("<!ELEMENT s (")
@@ -26,7 +27,14 @@ func scratchDTD() *dtd.DTD {
 	for k := 1; k <= 300; k++ {
 		fmt.Fprintf(&b, "<!ELEMENT a%d EMPTY>\n", k)
 	}
-	b.WriteString("<!ELEMENT t (w*)>\n<!ELEMENT w (x, x)>\n<!ELEMENT x EMPTY>\n")
+	b.WriteString("<!ELEMENT u (v*)>\n<!ELEMENT v (x")
+	for k := 1; k <= 100; k++ {
+		fmt.Fprintf(&b, " | y%d", k)
+	}
+	b.WriteString(")*>\n<!ELEMENT x EMPTY>\n")
+	for k := 1; k <= 100; k++ {
+		fmt.Fprintf(&b, "<!ELEMENT y%d (x)>\n", k)
+	}
 	return dtd.MustParse(b.String())
 }
 
@@ -42,8 +50,8 @@ func children(root string, n int, name func(k int) string) string {
 }
 
 // TestScratchRetentionBounds completes an arrangement that grows the memo
-// arena past maxRetainedMemo and one that grows the host memo past
-// maxRetainedHosts, each followed by a small document on the same
+// arena past maxRetainedMemo and one that grows the H table past
+// maxRetainedEnds, each followed by a small document on the same
 // Completer. The oversized scratch must be dropped, every completion must
 // equal a fresh Completer's, and no completed document may stay reachable
 // through the Completer's item buffer.
@@ -80,14 +88,13 @@ func TestScratchRetentionBounds(t *testing.T) {
 		t.Errorf("after a small document the arena keeps %d entries, want at most %d", len(s.arena), maxRetainedMemo)
 	}
 
-	w := New(core.MustCompile(d, "t", core.Options{}))
-	run(w, children("t", 200, x))
-	if len(w.hosts) <= maxRetainedHosts {
-		t.Fatalf("200 children of <t> stored %d host verdicts, want past %d", len(w.hosts), maxRetainedHosts)
+	v := New(core.MustCompile(d, "u", core.Options{}))
+	run(v, children("u", 700, x))
+	if len(v.ends) <= maxRetainedEnds {
+		t.Fatalf("700 children of <u> grew the H table to %d entries, want past %d", len(v.ends), maxRetainedEnds)
 	}
-	grown := fmt.Sprintf("%p", w.hosts)
-	run(w, children("t", 4, x))
-	if fmt.Sprintf("%p", w.hosts) == grown {
-		t.Error("after a small document the Completer still keeps the oversized host memo")
+	run(v, children("u", 4, x))
+	if len(v.ends) > maxRetainedEnds {
+		t.Errorf("after a small document the H table keeps %d entries, want at most %d", len(v.ends), maxRetainedEnds)
 	}
 }
