@@ -1,10 +1,9 @@
 // Command doclint enforces doc-comment conventions beyond go vet: every
 // package it is pointed at must have a package comment, and every exported
 // identifier (types, functions, methods, consts, vars) must carry a doc
-// comment. CI runs it over the public API surface and the service packages:
+// comment. CI runs it over every package of the module:
 //
-//	go run ./cmd/doclint . ./internal/engine ./internal/diff ./internal/complete \
-//	    ./internal/schemastore ./internal/mmapio ./internal/jobs
+//	go run ./cmd/doclint $(go list -f '{{.Dir}}' ./...)
 //
 // Exit status: 0 clean, 1 findings, 2 usage or parse errors.
 package main

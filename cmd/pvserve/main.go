@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pvserve [-addr :8080] [-workers N] [-cache N] [-shards N] [-cache-dir DIR] [-pvonly]
+//	pvserve [-addr :8080] [-workers N] [-cache N] [-shards N] [-cache-dir DIR]
 //	        [-disable-fast-path] [-max-doc-bytes N] [-stream-buf N]
 //	        [-job-workers N] [-job-queue N] [-job-ttl DUR] [-job-volatile] [-job-wal-nosync]
 //	        [-drain DUR]
@@ -81,8 +81,7 @@ func main() {
 	cache := flag.Int("cache", 0, "compiled-schema store capacity across shards (0 = default 64)")
 	shards := flag.Int("shards", 0, "schema store lock-stripe count (0 = default 8)")
 	cacheDir := flag.String("cache-dir", "", "disk-backed compiled-schema cache directory (empty = memory only)")
-	pvOnly := flag.Bool("pvonly", false, "skip the full-validity bit (fastest)")
-	noFastPath := flag.Bool("disable-fast-path", false, "compile schemas without content-model DFA fast-path tables (recognizer-only checking; same verdicts, for benching and as an escape hatch)")
+	noFastPath := flag.Bool("disable-fast-path", false, "compile schemas without content-model DFA fast-path tables (recognizer and position-set checking; same verdicts, for benching and as an escape hatch)")
 	maxDocBytes := flag.Int("max-doc-bytes", 0, "per-document cap on the NDJSON stream routes in bytes (0 = default 64MB; /check/raw is never capped)")
 	streamBuf := flag.Int("stream-buf", 0, "sliding-window size of the /check/raw bounded-memory checker in bytes (0 = default 256KB)")
 	jobWorkers := flag.Int("job-workers", 0, "concurrent async jobs (0 = default 2)")
@@ -98,7 +97,6 @@ func main() {
 		CacheSize:       *cache,
 		Shards:          *shards,
 		CacheDir:        *cacheDir,
-		PVOnly:          *pvOnly,
 		DisableFastPath: *noFastPath,
 		MaxDocBytes:     *maxDocBytes,
 		StreamBufBytes:  *streamBuf,
@@ -131,8 +129,8 @@ func main() {
 	}
 	st := e.Store().Stats()
 	js := e.Jobs().Stats()
-	log.Printf("pvserve listening on %s (workers=%d, cache=%d over %d shards, cache-dir=%q, pvonly=%v, job-workers=%d, job-queue=%d, durable-jobs=%v)",
-		*addr, e.Workers(), st.Capacity, st.Shards, *cacheDir, *pvOnly, js.Workers, js.QueueDepth, js.Durable)
+	log.Printf("pvserve listening on %s (workers=%d, cache=%d over %d shards, cache-dir=%q, job-workers=%d, job-queue=%d, durable-jobs=%v)",
+		*addr, e.Workers(), st.Capacity, st.Shards, *cacheDir, js.Workers, js.QueueDepth, js.Durable)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

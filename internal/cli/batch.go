@@ -26,9 +26,8 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 	root := fs.String("root", "", "root element (required)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	mmapAt := fs.Int64("mmap", mmapio.DefaultThreshold, "memory-map files at least this many bytes large (0 maps every non-empty file, <0 always reads)")
-	streamAt := fs.Int64("stream-at", 64<<20, "check files at least this many bytes large through the bounded-memory reader path instead of loading them (PV-only verdict, <0 never)")
+	streamAt := fs.Int64("stream-at", 64<<20, "check files at least this many bytes large through the bounded-memory reader path instead of loading them (<0 never)")
 	cacheDir := fs.String("cache-dir", "", "disk-backed compiled-schema cache (skips recompiling across runs)")
-	pvOnly := fs.Bool("pvonly", false, "skip the full-validity bit (fastest)")
 	quiet := fs.Bool("q", false, "print only failures and the summary")
 	ws := fs.Bool("ws", false, "ignore whitespace-only text nodes")
 	anyRoot := fs.Bool("anyroot", false, "accept any declared element as document root")
@@ -56,7 +55,7 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 	// async jobs, so its jobs stay volatile: it never opens, locks or
 	// recovers the directory's job write-ahead log, which a pvserve sharing
 	// the directory may own.
-	eng, err := pv.OpenEngine(pv.EngineConfig{Workers: *workers, PVOnly: *pvOnly, SchemaCacheDir: *cacheDir, VolatileJobs: true})
+	eng, err := pv.OpenEngine(pv.EngineConfig{Workers: *workers, SchemaCacheDir: *cacheDir, VolatileJobs: true})
 	if err != nil {
 		fmt.Fprintf(stderr, "pvcheck batch: %v\n", err)
 		return 2
@@ -122,7 +121,7 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 		if r.Err != nil {
 			errMsg = r.Err.Error()
 		}
-		code := printVerdict(stdout, r.ID, errMsg, r.Valid, r.PotentiallyValid, r.Detail, *quiet, *pvOnly)
+		code := printVerdict(stdout, r.ID, errMsg, r.Valid, r.PotentiallyValid, r.Detail, *quiet)
 		if exit < code {
 			exit = code
 		}
@@ -134,6 +133,7 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 	stats.Docs += streamStats.Docs
 	stats.Bytes += streamStats.Bytes
 	stats.PotentiallyValid += streamStats.PotentiallyValid
+	stats.Valid += streamStats.Valid
 	stats.Malformed += streamStats.Malformed
 	perFileBytes := 0.0
 	if stats.Docs > 0 {
@@ -147,8 +147,7 @@ func Batch(args []string, stdout, stderr io.Writer) int {
 
 // checkStreamedFiles checks the over-threshold files one at a time through
 // the engine's bounded-memory reader path and prints their verdicts (after
-// the batch's, in sorted path order). The reader path never computes the
-// full-validity bit, so verdict lines render in the PV-only form.
+// the batch's, in sorted path order).
 func checkStreamedFiles(eng *pv.Engine, schema *pv.Schema, paths []string, quiet bool, stdout, stderr io.Writer) (int, pv.BatchStats) {
 	exit := 0
 	var stats pv.BatchStats
@@ -170,10 +169,13 @@ func checkStreamedFiles(eng *pv.Engine, schema *pv.Schema, paths []string, quiet
 		switch {
 		case errMsg != "":
 			stats.Malformed++
+		case r.Valid:
+			stats.Valid++
+			stats.PotentiallyValid++
 		case r.PotentiallyValid:
 			stats.PotentiallyValid++
 		}
-		code := printVerdict(stdout, r.ID, errMsg, false, r.PotentiallyValid, r.Detail, quiet, true)
+		code := printVerdict(stdout, r.ID, errMsg, r.Valid, r.PotentiallyValid, r.Detail, quiet)
 		if exit < code {
 			exit = code
 		}
@@ -184,7 +186,7 @@ func checkStreamedFiles(eng *pv.Engine, schema *pv.Schema, paths []string, quiet
 // printVerdict renders one per-document verdict line and returns its exit
 // code contribution (0 ok, 1 failure) — shared by the batch and the
 // streamed files.
-func printVerdict(stdout io.Writer, id, errMsg string, valid, pvalid bool, detail string, quiet, pvOnly bool) int {
+func printVerdict(stdout io.Writer, id, errMsg string, valid, pvalid bool, detail string, quiet bool) int {
 	switch {
 	case errMsg != "":
 		fmt.Fprintf(stdout, "%s: malformed: %s\n", id, errMsg)
@@ -196,13 +198,7 @@ func printVerdict(stdout io.Writer, id, errMsg string, valid, pvalid bool, detai
 		return 0
 	case pvalid:
 		if !quiet {
-			// Under -pvonly the full-validity bit is never computed, so
-			// "encoding incomplete" would be a claim we did not check.
-			if pvOnly {
-				fmt.Fprintf(stdout, "%s: potentially valid\n", id)
-			} else {
-				fmt.Fprintf(stdout, "%s: potentially valid (encoding incomplete)\n", id)
-			}
+			fmt.Fprintf(stdout, "%s: potentially valid (encoding incomplete)\n", id)
 		}
 		return 0
 	default:

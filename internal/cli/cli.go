@@ -70,39 +70,39 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 			exit = code
 		}
 	}
+	eng := pv.NewEngine(pv.EngineConfig{Workers: 1})
+	defer eng.Close()
 	for _, path := range fs.Args() {
 		// -stream (or any file past the -stream-at threshold) takes the
 		// bounded-memory reader path: the document is checked straight off
 		// the file in O(depth + window) memory, never loaded whole — the
 		// only way through for documents larger than RAM. The verdict is
-		// potential validity only.
-		if *stream || streamSized(path, *streamAt) {
-			f, err := os.Open(path)
-			if err != nil {
-				fmt.Fprintf(stderr, "pvcheck: %v\n", err)
-				fail(2)
-				continue
+		// the same as for a loaded file.
+		streamed := *stream || streamSized(path, *streamAt)
+		var src string
+		var res pv.Result
+		var err error
+		if streamed {
+			var f *os.File
+			if f, err = os.Open(path); err == nil {
+				r := eng.CheckReader(schema, path, f)
+				f.Close()
+				res = pv.Result{PotentiallyValid: r.PotentiallyValid, Valid: r.Valid, Detail: r.Detail}
+				if r.Err != nil {
+					err = fmt.Errorf("%s: %w", path, r.Err)
+				}
 			}
-			err = schema.CheckReader(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stdout, "%s: NOT potentially valid: %v\n", path, err)
-				fail(1)
-			} else {
-				fmt.Fprintf(stdout, "%s: potentially valid\n", path)
+		} else {
+			var data []byte
+			if data, err = os.ReadFile(path); err == nil {
+				src = string(data)
+				if res, err = schema.CheckString(src); err != nil {
+					err = fmt.Errorf("%s: %w", path, err)
+				}
 			}
-			continue
 		}
-		data, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(stderr, "pvcheck: %v\n", err)
-			fail(2)
-			continue
-		}
-		src := string(data)
-		res, err := schema.CheckString(src)
-		if err != nil {
-			fmt.Fprintf(stderr, "pvcheck: %s: %v\n", path, err)
 			fail(2)
 			continue
 		}
@@ -111,7 +111,7 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: valid\n", path)
 		case res.PotentiallyValid:
 			fmt.Fprintf(stdout, "%s: potentially valid (encoding incomplete)\n", path)
-			if *completeFlag {
+			if *completeFlag && !streamed {
 				doc, err := pv.ParseDocument(src)
 				if err == nil {
 					if ext, inserted, err := schema.Complete(doc); err == nil {

@@ -77,8 +77,8 @@ func TestPVCheckStream(t *testing.T) {
 }
 
 // TestPVCheckStreamAt pins the auto-streaming threshold: with -stream-at 1
-// every file takes the bounded-memory reader path (PV-only verdicts, no
-// "valid" line even for fully valid documents), and the verdicts match the
+// every file takes the bounded-memory reader path, and the verdicts —
+// full-validity bit and malformed reporting included — match the
 // in-memory checker's.
 func TestPVCheckStreamAt(t *testing.T) {
 	dtdPath, wPath, sPath := writeFixtures(t)
@@ -87,14 +87,26 @@ func TestPVCheckStreamAt(t *testing.T) {
 	if code != 1 {
 		t.Errorf("exit = %d, want 1 (w is not PV)\n%s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "s.xml: potentially valid") {
-		t.Errorf("streamed verdicts:\n%s", out.String())
-	}
 	if !strings.Contains(out.String(), "w.xml: NOT potentially valid") {
 		t.Errorf("streamed verdicts:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "encoding incomplete") {
-		t.Errorf("reader path must not claim the full-validity bit:\n%s", out.String())
+	if !strings.Contains(out.String(), "s.xml: potentially valid (encoding incomplete)") {
+		t.Errorf("reader path must report the full verdict:\n%s", out.String())
+	}
+
+	// A valid document streams as valid, and a malformed one reports the
+	// way a loaded malformed document does.
+	dir := t.TempDir()
+	ext, bad := filepath.Join(dir, "ext.xml"), filepath.Join(dir, "bad.xml")
+	os.WriteFile(ext, []byte(`<r><a><b><d>x</d></b><c>y</c><d>z<e></e></d></a></r>`), 0o644)
+	os.WriteFile(bad, []byte(`<r><a></r>`), 0o644)
+	out.Reset()
+	errOut.Reset()
+	if code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream", ext, bad}, &out, &errOut); code != 2 {
+		t.Errorf("exit = %d, want 2 (bad.xml is malformed)", code)
+	}
+	if !strings.Contains(out.String(), "ext.xml: valid") || !strings.Contains(errOut.String(), "bad.xml: ") {
+		t.Errorf("streamed valid/malformed verdicts:\nstdout:\n%s\nstderr:\n%s", out.String(), errOut.String())
 	}
 
 	// A negative threshold disables auto-streaming: the full checker runs

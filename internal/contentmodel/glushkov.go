@@ -2,6 +2,7 @@ package contentmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,16 +14,16 @@ const PCDATASymbol = "#PCDATA"
 // Automaton is a Glushkov (position) automaton for a content-model
 // expression. It matches sequences of symbols, where each symbol is an
 // element name or PCDATASymbol. Construction is the classical
-// first/last/follow computation; matching a sequence of length n over an
-// automaton with p positions costs O(n·p) in the worst case. The successor
-// lists are frozen, sorted, at construction, so reading them allocates
-// nothing.
+// first/last/follow computation; position 0 is the start, so its follow
+// list is the first set and its last bit is nullability. Matching runs
+// over sets of positions; a deterministic model's sets hold at most one
+// position, so matching a sequence of length n over p positions costs
+// O(n·p). The successor lists are frozen, sorted, at construction, so
+// reading them allocates nothing.
 type Automaton struct {
-	symbols  []string // symbol at each position, 1-based (index 0 unused)
-	first    []int    // sorted positions reachable from the start
-	last     []bool   // last[p]: position p may end a match
-	follow   [][]int  // sorted follow lists, 1-based
-	nullable bool
+	symbols []string // symbol at each position, 1-based (index 0 unused)
+	last    []bool   // last[p]: position p may end a match
+	follow  [][]int  // sorted follow lists; follow[0] is the first set
 }
 
 // CompileAutomaton builds the Glushkov automaton for e. A nil expression
@@ -35,12 +36,11 @@ func CompileAutomaton(e *Expr) *Automaton {
 		info = d.build(e)
 	}
 	a := &Automaton{
-		symbols:  d.symbols,
-		first:    sortedKeys(info.first),
-		last:     make([]bool, len(d.symbols)),
-		follow:   make([][]int, len(d.symbols)),
-		nullable: info.nullable,
+		symbols: d.symbols,
+		last:    make([]bool, len(d.symbols)),
+		follow:  make([][]int, len(d.symbols)),
 	}
+	a.follow[0], a.last[0] = sortedKeys(info.first), info.nullable
 	for p := range info.last {
 		a.last[p] = true
 	}
@@ -159,7 +159,7 @@ func (a *Automaton) Symbol(p int) string { return a.symbols[p] }
 
 // First returns the sorted positions reachable from the start. The slice
 // is the automaton's own and must not be modified.
-func (a *Automaton) First() []int { return a.first }
+func (a *Automaton) First() []int { return a.follow[0] }
 
 // Follow returns the sorted positions following position p. The slice is
 // the automaton's own and must not be modified.
@@ -178,54 +178,47 @@ func sortedKeys(set map[int]bool) []int {
 }
 
 // Nullable reports whether the automaton accepts the empty sequence.
-func (a *Automaton) Nullable() bool { return a.nullable }
+func (a *Automaton) Nullable() bool { return a.last[0] }
 
-// Match reports whether the sequence of symbols is in the language of the
-// content model.
-func (a *Automaton) Match(symbols []string) bool {
-	if len(symbols) == 0 {
-		return a.nullable
+// Step returns the positions reached by reading sym from any position in
+// cur, appended to next[:0]. Position 0 is the start, so []int{0} is the
+// set before the first symbol; an empty result means no word of the
+// language continues this way. A deterministic (1-unambiguous) model
+// reaches at most one position per step.
+func (a *Automaton) Step(next, cur []int, sym string) []int {
+	next = next[:0]
+	for _, p := range cur {
+		for _, q := range a.follow[p] {
+			if a.symbols[q] == sym && !slices.Contains(next, q) {
+				next = append(next, q)
+			}
+		}
 	}
-	state := a.first
-	var bufs [2][]int
-	inNext := make([]bool, len(a.symbols))
-	for i, sym := range symbols {
-		final := i == len(symbols)-1
-		next := bufs[i%2][:0]
-		for _, p := range state {
-			if a.symbols[p] != sym {
-				continue
-			}
-			if final {
-				if a.last[p] {
-					return true
-				}
-				continue // only the last-position check can accept
-			}
-			next = a.appendFollow(next, p, inNext)
+	return next
+}
+
+// Accepts reports whether a match may end at some position of cur.
+func (a *Automaton) Accepts(cur []int) bool {
+	for _, p := range cur {
+		if a.last[p] {
+			return true
 		}
-		if final || len(next) == 0 {
-			return false
-		}
-		for _, q := range next {
-			inNext[q] = false
-		}
-		bufs[i%2] = next
-		state = next
 	}
 	return false
 }
 
-// appendFollow adds the follow positions of p not yet marked in inNext to
-// next, marking them.
-func (a *Automaton) appendFollow(next []int, p int, inNext []bool) []int {
-	for _, q := range a.follow[p] {
-		if !inNext[q] {
-			inNext[q] = true
-			next = append(next, q)
+// Match reports whether the sequence of symbols is in the language of the
+// content model.
+func (a *Automaton) Match(symbols []string) bool {
+	var buf [2][8]int
+	cur, next := append(buf[0][:0], 0), buf[1][:0]
+	for _, sym := range symbols {
+		if next = a.Step(next, cur, sym); len(next) == 0 {
+			return false
 		}
+		cur, next = next, cur
 	}
-	return next
+	return a.Accepts(cur)
 }
 
 // MatchPrefix reports whether symbols is a prefix of some sequence in the
@@ -233,26 +226,13 @@ func (a *Automaton) appendFollow(next []int, p int, inNext []bool) []int {
 // It returns the length of the longest viable prefix; len(symbols) means the
 // whole input is viable.
 func (a *Automaton) MatchPrefix(symbols []string) int {
-	state := a.first
-	var bufs [2][]int
-	inNext := make([]bool, len(a.symbols))
+	var buf [2][8]int
+	cur, next := append(buf[0][:0], 0), buf[1][:0]
 	for i, sym := range symbols {
-		next := bufs[i%2][:0]
-		matched := false
-		for _, p := range state {
-			if a.symbols[p] == sym {
-				matched = true
-				next = a.appendFollow(next, p, inNext)
-			}
-		}
-		if !matched {
+		if next = a.Step(next, cur, sym); len(next) == 0 {
 			return i
 		}
-		for _, q := range next {
-			inNext[q] = false
-		}
-		bufs[i%2] = next
-		state = next
+		cur, next = next, cur
 	}
 	return len(symbols)
 }
@@ -299,7 +279,7 @@ func (a *Automaton) CheckDeterminism() []DeterminismViolation {
 			out = append(out, DeterminismViolation{Symbol: sym, Context: context})
 		}
 	}
-	check(a.first, "first set")
+	check(a.follow[0], "first set")
 	for p := 1; p < len(a.symbols); p++ {
 		check(a.follow[p], fmt.Sprintf("follow set of %q", a.symbols[p]))
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dtd"
 	"repro/internal/gen"
+	"repro/internal/validator"
 )
 
 var codecFixtures = []struct {
@@ -28,7 +29,9 @@ var codecFixtures = []struct {
 // freshly compiled one — checked structurally (DTD rendering, DAG dumps,
 // reach lookups, classification, depth) and differentially over >=200
 // generated documents per fixture (valid, tag-stripped and corrupted), on
-// both the tree and the streaming checker.
+// both the tree and the streaming checker. The decoded schema's validity
+// bit, and that of a decoded recognizer-only schema (whose position-set
+// lanes are built from the decoded models), must equal the validator's.
 func TestBinaryRoundTripDifferential(t *testing.T) {
 	optSets := []Options{
 		{},
@@ -83,6 +86,9 @@ func TestBinaryRoundTripDifferential(t *testing.T) {
 			if oi > 0 {
 				continue // the differential corpus runs once per fixture
 			}
+			v := validator.MustNew(d, fx.root)
+			decSlow := roundTrip(t, MustCompile(d, fx.root, Options{DisableFastPath: true}))
+			validCheckers := []*StreamChecker{dec.NewStreamChecker(), decSlow.NewStreamChecker()}
 			rng := rand.New(rand.NewSource(int64(len(fx.name)) * 31))
 			for i := 0; i < 210; i++ {
 				doc := gen.GenValid(rng, d, fx.root, gen.DocOptions{MaxDepth: 6, MaxRepeat: 3})
@@ -105,6 +111,15 @@ func TestBinaryRoundTripDifferential(t *testing.T) {
 				}
 				if gotB := dec.CheckStreamBytes([]byte(src)); (gotB == nil) != (wantS == nil) {
 					t.Fatalf("%s doc %d: byte-stream verdict differs: orig=%v decoded=%v", fx.name, i, wantS, gotB)
+				}
+				if wantS != nil {
+					continue
+				}
+				wantValid := v.Validate(doc) == nil
+				for k, c := range validCheckers {
+					if err := c.Run(src); err != nil || c.StrictlyValid() != wantValid {
+						t.Fatalf("%s doc %d: decoded checker %d: err=%v valid=%v, validator says %v", fx.name, i, k, err, c.StrictlyValid(), wantValid)
+					}
 				}
 			}
 		}

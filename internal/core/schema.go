@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/contentmodel"
 	"repro/internal/dag"
 	"repro/internal/dfa"
 	"repro/internal/dtd"
@@ -38,9 +39,10 @@ type Options struct {
 	// not just the schema root.
 	AllowAnyRoot bool
 	// DisableFastPath skips compiling the content-model DFA tables, so
-	// every element runs on the PV recognizer alone (the slow tier).
-	// Verdicts are identical either way; the knob exists for
-	// apples-to-apples benching and as an operational escape hatch.
+	// every element runs on the PV recognizer alone (the slow tier) and
+	// validates on a Glushkov position set. Verdicts are identical either
+	// way; the knob exists for apples-to-apples benching and as an
+	// operational escape hatch.
 	DisableFastPath bool
 }
 
@@ -66,13 +68,16 @@ type Schema struct {
 	// symNames maps a symbol ID back to its element name (index 0, σ, is
 	// empty) — the replay direction when a checker leaves its DFA lane.
 	symNames []string
-	// isEmpty marks symbol IDs of elements declared EMPTY, consulted by
-	// the strict-validity bookkeeping (an EMPTY element whose only content
-	// is checker-invisible text is still invalid to the full validator).
-	isEmpty []bool
+	// cats holds each symbol ID's content category, which decides the
+	// validity of text inside the element.
+	cats []dtd.Category
 	// fast holds the per-element content-model DFAs (the fast path of the
 	// two-tier stream checker); nil when compiled with DisableFastPath.
 	fast *dfa.Set
+	// lanes holds the Glushkov automaton of each Children or Mixed element
+	// that has no DFA (the state cap, or DisableFastPath): the stream
+	// checker's validity lane steps its position sets instead.
+	lanes []*contentmodel.Automaton
 }
 
 // internedName is one symbol-table row: the schema's own copy of a
@@ -110,10 +115,10 @@ func Compile(d *dtd.DTD, root string, opts Options) (*Schema, error) {
 		DAG:  dag.Build(d),
 		opts: opts,
 	}
-	s.initSymbols()
 	if !opts.DisableFastPath {
 		s.fast = dfa.Compile(d, 0)
 	}
+	s.initSymbols()
 	// For non-PV-strong DTDs nested recognizers implement missing
 	// intermediate elements along acyclic chains only, so a bound of
 	// longest-chain+2 makes the algorithm complete (the crosscheck oracle
@@ -155,18 +160,24 @@ func unproductive(d *dtd.DTD, lt *reach.Table) []string {
 }
 
 // initSymbols builds the symbol table (interned names, ID mappings and
-// the EMPTY-category bits) from the DTD; shared by Compile and the binary
-// decoder.
+// content categories) and the position-set lanes of elements without a
+// DFA from the DTD and the fast-path tables; shared by Compile and the
+// binary decoder.
 func (s *Schema) initSymbols() {
 	m := len(s.DTD.Order)
 	s.interned = make(map[string]internedName, m)
 	s.symNames = make([]string, m+1)
-	s.isEmpty = make([]bool, m+1)
+	s.cats = make([]dtd.Category, m+1)
+	s.lanes = make([]*contentmodel.Automaton, m+1)
 	for i, name := range s.DTD.Order {
 		id := int32(i + 1)
+		decl := s.DTD.Elements[name]
 		s.interned[name] = internedName{name: name, id: id}
 		s.symNames[id] = name
-		s.isEmpty[id] = s.DTD.Elements[name].Category == dtd.Empty
+		s.cats[id] = decl.Category
+		if (decl.Category == dtd.Children || decl.Category == dtd.Mixed) && s.fastMachine(id) == nil {
+			s.lanes[id] = contentmodel.CompileAutomaton(decl.Model)
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/contentmodel"
 	"repro/internal/dfa"
+	"repro/internal/dtd"
 	"repro/internal/xmltext"
 )
 
@@ -34,14 +36,19 @@ func IsViolation(err error) bool {
 // symbols in the checker's shared prefix arena; the first symbol the DFA
 // cannot take lazily spawns the PV recognizer (rec), which replays the
 // buffered prefix and takes over for the rest of that element's content.
-// Ancestors keep their own lanes either way.
+// Ancestors keep their own lanes either way. The DFA state doubles as the
+// element's validity lane and keeps stepping on child elements after a
+// fallback; an element without a DFA validates on a Glushkov position set
+// (auto) instead.
 type frame struct {
-	rec         *Recognizer  // nil while the element is on its DFA lane
-	mach        *dfa.Machine // nil once fallen back (or never fast-pathed)
+	rec         *Recognizer             // nil while the element is on its DFA lane
+	mach        *dfa.Machine            // nil when the element has no DFA
+	auto        *contentmodel.Automaton // position-set lane of a Children or Mixed element without a DFA
 	name        string
 	id          int32 // interned symbol ID of the element
-	state       int32 // current DFA state while on the fast lane
+	state       int32 // current DFA state
 	prefixStart int32 // start of this frame's slice of the prefix arena
+	posStart    int32 // start of this frame's position set in the positions arena
 	lastWasText bool  // collapses adjacent text events into one σ per δ_T
 }
 
@@ -61,22 +68,32 @@ type frame struct {
 // the residue that needs it. The per-element buffered prefix holds
 // interned symbol IDs only, adding O(children on the open path) memory to
 // the checker's O(depth) frame stack.
+//
+// The same pass decides full validity exactly, with validator.Validate's
+// rules applied per event: the root must be the schema root, each child
+// element must step its parent's content-model automaton, an element may
+// close only in an accepting state, and text is allowed in EMPTY content
+// never and in element content only as whitespace. This is the classic
+// O(depth) streaming validation of DTDs; the validator stays as its test
+// oracle.
 type StreamChecker struct {
 	schema *Schema
 	frames []frame
 	depth  int
 	err    error
 	seen   bool // a root element has been seen and closed
-	// strict tracks whether every closed element so far was settled
-	// entirely on its DFA lane in an accepting state (and nothing
-	// checker-invisible could make the full validator disagree): when it
-	// survives to Close, the document is strictly valid and the engine
-	// skips the tree pass.
-	strict bool
+	// valid is the exact validity bit: false once an event breaks a
+	// validity rule, after which no validity lane is stepped.
+	valid bool
 	// prefix is the shared arena of buffered child-symbol IDs for frames
 	// still on their DFA lane; each frame owns prefix[f.prefixStart:] up
 	// to the next frame's start, and EndElement truncates its slice.
 	prefix []int32
+	// positions is the arena of position sets for frames on a
+	// position-set lane, owned the same way from f.posStart; step is the
+	// scratch set one step builds before it replaces the top frame's.
+	positions []int
+	step      []int
 	// fastHits / fastFallbacks count elements fully settled on the DFA
 	// lane vs elements that fell back to a recognizer, since Reset.
 	fastHits      int64
@@ -117,10 +134,11 @@ func (c *StreamChecker) Reset() {
 	clear(c.frames[:cap(c.frames)])
 	c.frames = c.frames[:0]
 	c.prefix = c.prefix[:0]
+	c.positions = c.positions[:0]
 	c.depth = 0
 	c.err = nil
 	c.seen = false
-	c.strict = c.schema.fast != nil
+	c.valid = true
 	c.fastHits = 0
 	c.fastFallbacks = 0
 }
@@ -139,13 +157,10 @@ func (c *StreamChecker) FastPathStats() (hits, fallbacks int64) {
 	return c.fastHits, c.fastFallbacks
 }
 
-// StrictlyValid reports whether the last run proved the document fully
-// (strictly) valid on the DFA fast path alone: every element closed in an
-// accepting DFA state and nothing checker-invisible could change the full
-// validator's mind. Meaningful only after a run ended with no error;
-// false never means invalid — just "not proven", so the caller must fall
-// back to the tree pass for the full-validity bit.
-func (c *StreamChecker) StrictlyValid() bool { return c.err == nil && c.seen && c.strict }
+// StrictlyValid reports whether the last run's document is valid: true
+// exactly when it is potentially valid and validator.Validate accepts its
+// tree, false when it is invalid or the run ended with an error.
+func (c *StreamChecker) StrictlyValid() bool { return c.err == nil && c.seen && c.valid }
 
 // fail records a well-formedness failure.
 func (c *StreamChecker) fail(format string, args ...any) error {
@@ -192,14 +207,14 @@ func (c *StreamChecker) StartElement(name []byte) error {
 		}
 		c.frames[len(c.frames)-1].lastWasText = false
 	} else if in.name != c.schema.Root {
-		c.strict = false // the full validator pins the root to the schema root
+		c.valid = false // AllowAnyRoot relaxes potential validity only
 	}
-	f := frame{name: in.name, id: in.id, prefixStart: int32(len(c.prefix))}
-	if mach := c.schema.fastMachine(in.id); mach != nil {
-		f.mach = mach
-	} else {
+	f := frame{name: in.name, id: in.id, prefixStart: int32(len(c.prefix)), posStart: int32(len(c.positions))}
+	if f.mach = c.schema.fastMachine(in.id); f.mach == nil {
 		f.rec = c.newRecognizer(in.name)
-		c.strict = false
+		if f.auto = c.schema.lanes[in.id]; f.auto != nil {
+			c.positions = append(c.positions, 0) // the start position
+		}
 	}
 	c.frames = append(c.frames, f)
 	c.depth++
@@ -216,8 +231,9 @@ const maxBufferedChildren = 1024
 // feedTop advances the innermost open element by one child symbol. While
 // the frame is on its DFA lane this is one table load; the first symbol
 // the DFA cannot take (or the forced-fallback knob, or the buffering cap)
-// switches the frame to a PV recognizer via fallback. Returns whether the
-// symbol keeps the element's content potentially valid.
+// switches the frame to a PV recognizer via fallback, and from then on a
+// child element also steps the validity lane. Returns whether the symbol
+// keeps the element's content potentially valid.
 func (c *StreamChecker) feedTop(sym int32) bool {
 	f := &c.frames[len(c.frames)-1]
 	if f.rec == nil {
@@ -232,14 +248,35 @@ func (c *StreamChecker) feedTop(sym int32) bool {
 		}
 		c.fallback(f)
 	}
+	if sym != 0 && c.valid {
+		c.stepValid(f, sym)
+	}
 	return f.rec.Validate(c.schema.symbolOf(sym))
 }
 
-// fallback abandons f's DFA lane: it spawns the element's recognizer and
-// replays the buffered child-symbol prefix into it. A DFA-viable prefix
-// is a viable prefix of the exact content language, hence completable,
-// hence potentially valid — so the replay cannot reject; the differential
-// fuzz target (FuzzDFAVsRecognizer) pins that invariant.
+// stepValid advances f's validity lane by the child element sym: its DFA,
+// or else its position set (ANY needs no lane). Text never steps a lane:
+// Children models cannot contain #PCDATA, and in Mixed models σ only
+// loops, so Text decides text alone. A dead step makes the document
+// invalid.
+func (c *StreamChecker) stepValid(f *frame, sym int32) {
+	switch {
+	case f.mach != nil:
+		f.state = f.mach.Step(f.state, sym)
+		c.valid = f.state != dfa.Dead
+	case f.auto != nil:
+		c.step = f.auto.Step(c.step, c.positions[f.posStart:], c.schema.symNames[sym])
+		c.positions = append(c.positions[:f.posStart], c.step...)
+		c.valid = len(c.step) > 0
+	}
+}
+
+// fallback moves f's potential-validity check off its DFA lane: it spawns
+// the element's recognizer and replays the buffered child-symbol prefix
+// into it. A DFA-viable prefix is a viable prefix of the exact content
+// language, hence completable, hence potentially valid — so the replay
+// cannot reject; the differential fuzz target (FuzzDFAVsRecognizer) pins
+// that invariant. The DFA state stays as the validity lane.
 func (c *StreamChecker) fallback(f *frame) {
 	rec := c.newRecognizer(f.name)
 	for _, id := range c.prefix[f.prefixStart:] {
@@ -247,9 +284,7 @@ func (c *StreamChecker) fallback(f *frame) {
 	}
 	c.prefix = c.prefix[:f.prefixStart]
 	f.rec = rec
-	f.mach = nil
 	c.fastFallbacks++
-	c.strict = false
 }
 
 // newRecognizer takes a recognizer from the checker's freelist, falling
@@ -272,14 +307,18 @@ func (c *StreamChecker) Text(data []byte) error {
 	if c.err != nil {
 		return c.err
 	}
-	if len(data) == 0 || (c.schema.opts.IgnoreWhitespaceText && isSpace(data)) {
-		// Invisible to the checker — but not to the full validator, which
-		// rejects an EMPTY element containing any text node at all, so
-		// the strict-validity shortcut stands down and lets the tree pass
-		// decide.
-		if len(c.frames) > 0 && c.schema.isEmpty[c.frames[len(c.frames)-1].id] {
-			c.strict = false
+	// Validity sees every nonempty text, before the σ collapse and before
+	// IgnoreWhitespaceText hides it: EMPTY content admits none, element
+	// content only whitespace. Empty text makes no tree node.
+	if n := len(c.frames); n > 0 && len(data) > 0 && c.valid {
+		switch c.schema.cats[c.frames[n-1].id] {
+		case dtd.Empty:
+			c.valid = false
+		case dtd.Children:
+			c.valid = isSpace(data)
 		}
+	}
+	if len(data) == 0 || (c.schema.opts.IgnoreWhitespaceText && isSpace(data)) {
 		return nil
 	}
 	if len(c.frames) == 0 {
@@ -314,18 +353,24 @@ func (c *StreamChecker) EndElement(name []byte) error {
 		return c.fail("end tag </%s> does not match open <%s>", name, f.name)
 	}
 	// Closing never violates potential validity: PV allows completing the
-	// content with hypothesized elements after the close. On the DFA lane
-	// the accepting bit decides the cheaper question — whether the content
-	// as written is a complete word of the model (strict validity).
+	// content with hypothesized elements after the close. Validity needs
+	// the content as written to be a complete word of the model: an
+	// accepting state of the element's lane.
+	if c.valid {
+		switch {
+		case f.mach != nil:
+			c.valid = f.mach.Accepting(f.state)
+		case f.auto != nil:
+			c.valid = f.auto.Accepts(c.positions[f.posStart:])
+		}
+	}
 	if f.rec == nil {
 		c.fastHits++
-		if !f.mach.Accepting(f.state) {
-			c.strict = false
-		}
 		c.prefix = c.prefix[:f.prefixStart]
 	} else {
 		c.free = append(c.free, f.rec)
 	}
+	c.positions = c.positions[:f.posStart]
 	c.frames = c.frames[:i]
 	c.depth--
 	if len(c.frames) == 0 {
@@ -381,8 +426,8 @@ func (c *StreamChecker) RunBytes(src []byte) error {
 // usage is O(element depth + buffered child symbols on the open path +
 // window), independent of document size — the external-memory streaming
 // formulation. Verdicts and error messages are identical to RunBytes over
-// the same bytes. The reader-path verdict is potential validity only;
-// full validity additionally needs the tree pass.
+// the same bytes, and StrictlyValid gives the full-validity bit as it
+// does after RunBytes.
 func (c *StreamChecker) RunReader(r io.Reader) error {
 	return c.RunReaderBuffer(r, 0)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,61 +14,77 @@ import (
 	"repro/internal/xmltext"
 )
 
-// twoTierPair is one schema compiled both ways — with the content-model
-// DFA fast path and recognizer-only — plus the full validator, the ground
-// truth for the strict-validity shortcut.
+// twoTierPair is one schema compiled three ways — with the content-model
+// DFA fast path, recognizer-only, and fast but round-tripped through the
+// compiled-schema codec — plus the full validator, the ground truth for
+// the validity bit.
 type twoTierPair struct {
-	fast  *Schema
-	slow  *Schema
-	valid *validator.Validator
+	fast, slow, decoded *Schema
+	valid               *validator.Validator
 }
 
-func newTwoTierPair(tb testing.TB, d *dtd.DTD, root string) twoTierPair {
+func newTwoTierPair(tb testing.TB, d *dtd.DTD, root string, opts Options) twoTierPair {
 	tb.Helper()
 	v, err := validator.New(d, root)
 	if err != nil {
 		tb.Fatalf("validator.New(%s): %v", root, err)
 	}
-	return twoTierPair{
-		fast:  MustCompile(d, root, Options{}),
-		slow:  MustCompile(d, root, Options{DisableFastPath: true}),
-		valid: v,
-	}
+	slowOpts := opts
+	slowOpts.DisableFastPath = true
+	fast := MustCompile(d, root, opts)
+	return twoTierPair{fast: fast, slow: MustCompile(d, root, slowOpts), decoded: roundTrip(tb, fast), valid: v}
 }
 
-// twoTierPairs compiles fast/slow twins of the fuzz fixture schemas — one
-// per recursion class, plus the paper's Figure 1.
+// roundTrip encodes s and decodes it again.
+func roundTrip(tb testing.TB, s *Schema) *Schema {
+	tb.Helper()
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dec, err := UnmarshalBinary(blob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dec
+}
+
+// twoTierPairs compiles the fuzz fixture schemas — one per recursion
+// class, plus the paper's Figure 1 under each option that changes what
+// the checker sees.
 func twoTierPairs(tb testing.TB) []twoTierPair {
 	tb.Helper()
+	fig1 := dtd.MustParse(dtd.Figure1)
 	return []twoTierPair{
-		newTwoTierPair(tb, dtd.MustParse(dtd.Figure1), "r"),
-		newTwoTierPair(tb, dtd.MustParse(dtd.Play), "play"),
-		newTwoTierPair(tb, dtd.MustParse(dtd.WeakRecursive), "p"),
-		newTwoTierPair(tb, dtd.MustParse(dtd.T2), "a"),
+		newTwoTierPair(tb, fig1, "r", Options{}),
+		newTwoTierPair(tb, fig1, "r", Options{IgnoreWhitespaceText: true}),
+		newTwoTierPair(tb, fig1, "r", Options{AllowAnyRoot: true}),
+		newTwoTierPair(tb, dtd.MustParse(dtd.Play), "play", Options{}),
+		newTwoTierPair(tb, dtd.MustParse(dtd.WeakRecursive), "p", Options{}),
+		newTwoTierPair(tb, dtd.MustParse(dtd.T2), "a", Options{}),
 	}
 }
 
-// twoTierCheckers returns the four dispatch configurations whose verdicts
-// must be indistinguishable: the two-tier fast path, the recognizer-only
-// schema, and the forced-fallback knob at 0 (replay of an empty prefix)
-// and 2 (replay of a nonempty DFA-viable prefix).
+// twoTierCheckers returns the dispatch configurations whose verdicts must
+// be indistinguishable: the two-tier fast path, the recognizer-only
+// schema, the forced-fallback knob at 0 (replay of an empty prefix) and 2
+// (replay of a nonempty DFA-viable prefix), and the decoded schema.
 func (p twoTierPair) twoTierCheckers() (names []string, checkers []*StreamChecker) {
-	fast := p.fast.NewStreamChecker()
-	slow := p.slow.NewStreamChecker()
 	forced0 := p.fast.NewStreamChecker()
 	forced0.ForceFallbackAfter(0)
 	forced2 := p.fast.NewStreamChecker()
 	forced2.ForceFallbackAfter(2)
-	return []string{"fast", "slow", "forced0", "forced2"},
-		[]*StreamChecker{fast, slow, forced0, forced2}
+	return []string{"fast", "slow", "forced0", "forced2", "decoded"},
+		[]*StreamChecker{p.fast.NewStreamChecker(), p.slow.NewStreamChecker(), forced0, forced2, p.decoded.NewStreamChecker()}
 }
 
-// driveTwoTier feeds xml token-for-token into all four checker
-// configurations and fails the test at the first event where any verdict
-// (acceptance, violation typing, or message) diverges from the
-// recognizer-only reference. It returns the reference's final error and
-// the fast checker for strict-validity inspection.
-func driveTwoTier(t *testing.T, p twoTierPair, xml string) (error, *StreamChecker) {
+// driveTwoTier feeds xml token-for-token into every checker configuration
+// and fails the test at the first event where any verdict (acceptance,
+// violation typing, or message) diverges from the recognizer-only
+// reference. When the document is potentially valid it also asserts that
+// every configuration's validity bit equals the full validator's verdict.
+// It returns the reference's final error.
+func driveTwoTier(t *testing.T, p twoTierPair, xml string) error {
 	t.Helper()
 	names, checkers := p.twoTierCheckers()
 	for _, c := range checkers {
@@ -77,7 +94,10 @@ func driveTwoTier(t *testing.T, p twoTierPair, xml string) (error, *StreamChecke
 	lx := xmltext.NewByteLexer([]byte(xml))
 	for {
 		tok, lexErr := lx.Next()
-		if lexErr != nil || tok == nil {
+		if lexErr != nil {
+			return lexErr // RunBytes's verdict too: no checker sees the rest
+		}
+		if tok == nil {
 			break
 		}
 		event++
@@ -99,7 +119,7 @@ func driveTwoTier(t *testing.T, p twoTierPair, xml string) (error, *StreamChecke
 			}
 		}
 		if errs[1] != nil {
-			return errs[1], checkers[0]
+			return errs[1]
 		}
 	}
 	closes := make([]error, len(checkers))
@@ -112,33 +132,35 @@ func driveTwoTier(t *testing.T, p twoTierPair, xml string) (error, *StreamChecke
 				xml, names[1], names[i], names[1], closes[1], names[i], closes[i])
 		}
 	}
-	return closes[1], checkers[0]
+	if closes[1] == nil {
+		checkValidBit(t, p, xml, names, checkers)
+	}
+	return closes[1]
 }
 
-// checkStrictClaim asserts the strict-validity shortcut is sound: whenever
-// the fast checker claims StrictlyValid, the full validator must accept
-// the parsed tree. (The converse is not required — strict is a
-// conservative proof, and false only defers to the tree pass.)
-func checkStrictClaim(t *testing.T, p twoTierPair, xml string, fast *StreamChecker) {
+// checkValidBit asserts that the validity bit is exact: after a run that
+// accepted xml, every checker's StrictlyValid equals the full validator's
+// verdict on the parsed tree.
+func checkValidBit(t *testing.T, p twoTierPair, xml string, names []string, checkers []*StreamChecker) {
 	t.Helper()
-	if !fast.StrictlyValid() {
-		return
-	}
 	doc, err := dom.Parse(xml)
 	if err != nil {
-		t.Fatalf("StrictlyValid claimed on unparseable input %q: %v", xml, err)
+		t.Fatalf("stream accepted unparseable input %q: %v", xml, err)
 	}
-	if verr := p.valid.Validate(doc.Root); verr != nil {
-		t.Fatalf("StrictlyValid claimed but the validator rejects %q: %v", xml, verr)
+	verr := p.valid.Validate(doc.Root)
+	for i, c := range checkers {
+		if got := c.StrictlyValid(); got != (verr == nil) {
+			t.Fatalf("%s: StrictlyValid(%q) = %v, validator says %v", names[i], xml, got, verr)
+		}
 	}
 }
 
 // FuzzDFAVsRecognizer differentially fuzzes the two-tier dispatch: the DFA
-// fast path, the recognizer-only slow tier, and the forced-fallback replay
-// path must produce identical verdicts token-for-token on arbitrary input,
-// across all three recursion classes — the invariant that makes the fast
-// path a pure optimization. It also pins the strict-validity shortcut
-// against the full validator.
+// fast path, the recognizer-only slow tier, the forced-fallback replay
+// path and the decoded schemas must produce identical verdicts
+// token-for-token on arbitrary input, across all three recursion classes
+// — the invariant that makes the fast path a pure optimization. It also
+// pins every configuration's validity bit to the full validator.
 func FuzzDFAVsRecognizer(f *testing.F) {
 	for _, seed := range []string{
 		`<r><a><b>A quick brown</b><c> fox jumps over a lazy</c> dog<e></e></a></r>`,
@@ -151,38 +173,49 @@ func FuzzDFAVsRecognizer(f *testing.F) {
 		`<r><a><e></e><e></e></a></r>`,
 		`<r>`, `</r>`, `<r></r><r></r>`, `<r><a></b></r>`, `x<r></r>`,
 		`<r><!-- c --><?pi d?></r>`, `<r><![CDATA[<a>]]></r>`, ``,
+		// The validity rules: whitespace in element content, empty CDATA
+		// in EMPTY, comment-split text in element content, and a
+		// non-schema root (potentially valid under AllowAnyRoot).
+		"<r>\n <a> <c>x</c><d></d></a> </r>",
+		`<r><a><c>x</c><d><e><![CDATA[]]></e></d></a></r>`,
+		`<r><a><c>x</c><d><e> </e></d></a></r>`,
+		`<r><a><c>x</c><d></d></a>t<!-- c -->u</r>`,
+		`<r><a> <!-- c --> <c>x</c><d></d></a></r>`,
+		`<d><e></e>t</d>`,
 	} {
 		f.Add(seed)
 	}
 	pairs := twoTierPairs(f)
 	f.Fuzz(func(t *testing.T, xml string) {
 		for _, p := range pairs {
-			err, fast := driveTwoTier(t, p, xml)
-			if err == nil {
-				checkStrictClaim(t, p, xml, fast)
-			}
+			driveTwoTier(t, p, xml)
 		}
 	})
 }
 
-// TestTwoTierDifferentialGenerated runs the four checker configurations
-// over 1000+ generated documents — valid, tag-stripped (PV by Theorem 2),
-// and corrupted, over random DTDs of every recursion class and the
-// fixtures — pinning verdict equality and strict-shortcut soundness at
-// scale.
+// TestTwoTierDifferentialGenerated runs every checker configuration over
+// 1000+ generated documents — valid, tag-stripped (PV by Theorem 2) and
+// corrupted, half of them decorated, some rooted at a non-schema element
+// — over random DTDs of every recursion class and the fixtures, under all
+// three option sets, pinning verdict equality and the exact validity bit
+// at scale.
 func TestTwoTierDifferentialGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(1511))
 	pairs := twoTierPairs(t)
+	optSets := []Options{{}, {IgnoreWhitespaceText: true}, {AllowAnyRoot: true}}
 	for _, class := range []gen.DTDClass{gen.ClassNonRecursive, gen.ClassWeak, gen.ClassStrong} {
 		for i := 0; i < 3; i++ {
 			d := gen.RandDTD(rng, gen.DTDOptions{Elements: 6 + rng.Intn(10), Class: class})
-			pairs = append(pairs, newTwoTierPair(t, d, "e0"))
+			pairs = append(pairs, newTwoTierPair(t, d, "e0", optSets[i]))
 		}
 	}
-	docs := 0
+	docs, valid := 0, 0
 	for _, p := range pairs {
-		root := p.fast.Root
 		for i := 0; i < 80; i++ {
+			root := p.fast.Root
+			if p.fast.Options().AllowAnyRoot && i%5 == 0 {
+				root = p.fast.DTD.Order[rng.Intn(len(p.fast.DTD.Order))]
+			}
 			doc := gen.GenValid(rng, p.fast.DTD, root, gen.DocOptions{MaxDepth: 6, MaxRepeat: 3})
 			switch i % 4 {
 			case 1:
@@ -193,23 +226,56 @@ func TestTwoTierDifferentialGenerated(t *testing.T) {
 				gen.Corrupt(rng, p.fast.DTD, doc)
 			}
 			xml := doc.String()
-			err, fast := driveTwoTier(t, p, xml)
-			if err == nil {
-				checkStrictClaim(t, p, xml, fast)
+			if i%8 >= 4 {
+				xml = gen.Decorate(rng, xml)
+			}
+			if driveTwoTier(t, p, xml) == nil && p.valid.ValidateString(xml) == nil {
+				valid++
 			}
 			docs++
 		}
 	}
-	if docs < 1000 {
-		t.Fatalf("differential corpus too small: %d documents, want >= 1000", docs)
+	if docs < 1000 || valid < docs/10 {
+		t.Fatalf("differential corpus too small: %d documents (%d valid), want >= 1000 (10%% valid)", docs, valid)
 	}
 }
 
-// TestTwoTierStrictMatchesValidator pins the corners where the strict
-// shortcut must stand down even though the stream checker sees nothing
-// wrong: checker-invisible text inside EMPTY elements, non-schema roots
-// under AllowAnyRoot, incomplete-but-completable content, and no-fast-path
-// recursion.
+// TestTwoTierStateCappedModel pins the position-set lane: an element whose
+// content model determinizes past the state cap gets no DFA, and its
+// validity bit must still equal the validator's, on the compiled and the
+// decoded schema alike.
+func TestTwoTierStateCappedModel(t *testing.T) {
+	model := "(a|b)*, a" + strings.Repeat(", (a|b)", 10)
+	d := dtd.MustParse("<!ELEMENT r (" + model + ")>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>")
+	p := newTwoTierPair(t, d, "r", Options{})
+	if p.fast.fastMachine(p.fast.interned["r"].id) != nil {
+		t.Fatalf("model %s determinized under the state cap; the test needs one over it", model)
+	}
+	rng := rand.New(rand.NewSource(3))
+	valid := 0
+	for i := 0; i < 3000; i++ {
+		var b strings.Builder
+		b.WriteString("<r>")
+		for n := rng.Intn(20); n > 0; n-- {
+			b.WriteString([]string{"<a/>", "<b/>"}[rng.Intn(2)])
+		}
+		b.WriteString("</r>")
+		if driveTwoTier(t, p, b.String()) != nil {
+			t.Fatalf("%s: not potentially valid", b.String())
+		}
+		if p.valid.ValidateString(b.String()) == nil {
+			valid++
+		}
+	}
+	if valid < 300 {
+		t.Fatalf("only %d of 3000 sequences valid; the corpus misses the accepting side", valid)
+	}
+}
+
+// TestTwoTierStrictMatchesValidator pins the validity bit's corners where
+// potential validity sees nothing wrong: checker-invisible text inside
+// EMPTY elements, empty CDATA (no tree node), non-schema roots under
+// AllowAnyRoot, and incomplete-but-completable content.
 func TestTwoTierStrictMatchesValidator(t *testing.T) {
 	fig1 := dtd.MustParse(dtd.Figure1)
 	cases := []struct {
@@ -227,7 +293,7 @@ func TestTwoTierStrictMatchesValidator(t *testing.T) {
 		{"empty-elem-with-ws", fig1, "r", Options{IgnoreWhitespaceText: true},
 			`<r><a><b><d>t</d></b><c>y</c><d><e> </e></d></a></r>`, false}, // ws inside EMPTY <e> is invisible to the checker, fatal to the validator
 		{"empty-elem-cdata", fig1, "r", Options{},
-			`<r><a><b><d>t</d></b><c>y</c><d><e><![CDATA[]]></e></d></a></r>`, false},
+			`<r><a><b><d>t</d></b><c>y</c><d><e><![CDATA[]]></e></d></a></r>`, true}, // empty CDATA makes no text node
 		{"anyroot-nonschema-root", fig1, "r", Options{AllowAnyRoot: true},
 			`<d><e></e>t</d>`, false}, // stream accepts any declared root; the validator still pins <r>
 	}
@@ -289,7 +355,8 @@ func TestTwoTierFastPathStats(t *testing.T) {
 		t.Fatal("fallback doc must not claim strict validity")
 	}
 
-	// Recognizer-only compilation never touches the fast path.
+	// Recognizer-only compilation never touches the fast path; its
+	// position-set lanes still decide validity.
 	slow := MustCompile(dtd.MustParse(dtd.Figure1), "r", Options{DisableFastPath: true})
 	sc := slow.NewStreamChecker()
 	if err := sc.Run(`<r><a><b><d>t</d></b><c>y</c><d><e></e></d></a></r>`); err != nil {
@@ -299,8 +366,8 @@ func TestTwoTierFastPathStats(t *testing.T) {
 	if hits != 0 || fallbacks != 0 {
 		t.Fatalf("slow schema: hits=%d fallbacks=%d, want 0/0", hits, fallbacks)
 	}
-	if sc.StrictlyValid() {
-		t.Fatal("slow schema must never claim strict validity")
+	if !sc.StrictlyValid() {
+		t.Fatal("slow schema: valid doc not flagged strictly valid")
 	}
 }
 

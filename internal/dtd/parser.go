@@ -15,6 +15,7 @@ type ParseError struct {
 	Msg       string
 }
 
+// Error renders the syntax error with its line and column.
 func (e *ParseError) Error() string {
 	return fmt.Sprintf("dtd: line %d, col %d: %s", e.Line, e.Col, e.Msg)
 }

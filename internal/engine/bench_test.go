@@ -40,33 +40,26 @@ func asBytes(docs []Doc) []Doc {
 }
 
 // BenchmarkEngineBatchPath measures CheckBatch throughput and allocs/op
-// over a 1k-document mixed corpus in both verdict modes.
+// over a 1k-document mixed corpus.
 func BenchmarkEngineBatchPath(b *testing.B) {
 	docs := benchCorpus(1000)
 	var bytes int64
 	for _, d := range docs {
 		bytes += int64(len(d.Content))
 	}
-	for _, mode := range []struct {
-		name   string
-		pvOnly bool
-	}{{"full", false}, {"pvonly", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := New(Config{Workers: 4, PVOnly: mode.pvOnly})
-			s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(bytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				results, _ := e.CheckBatch(s, docs)
-				if len(results) != len(docs) {
-					b.Fatal("missing results")
-				}
-			}
-		})
+	e := New(Config{Workers: 4})
+	s, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, _ := e.CheckBatch(s, docs)
+		if len(results) != len(docs) {
+			b.Fatal("missing results")
+		}
 	}
 }
 

@@ -31,10 +31,11 @@ func verdictLine(id string, pv, valid, malformed bool) string {
 }
 
 // TestBatchMatchesSequential is the differential property test of the
-// acceptance criteria: engine.CheckBatch with 8 workers must produce
-// byte-identical verdicts to the sequential tree path over a generated
-// corpus covering all three DTD recursion classes and valid, tag-stripped,
-// corrupted and malformed documents. Run under -race in CI.
+// acceptance criteria: engine.CheckBatch with 8 workers, and the
+// bounded-memory reader path, must produce byte-identical verdicts to the
+// sequential tree path over a generated corpus covering all three DTD
+// recursion classes and valid, tag-stripped, corrupted, decorated and
+// malformed documents. Run under -race in CI.
 func TestBatchMatchesSequential(t *testing.T) {
 	classes := []struct {
 		name string
@@ -73,6 +74,13 @@ func TestBatchMatchesSequential(t *testing.T) {
 				gen.Corrupt(rng, d, doc)
 				add("corrupted", doc.String())
 			}
+			for i := 0; i < 20; i++ {
+				doc := gen.GenValid(rng, d, "e0", gen.DocOptions{MaxDepth: 8})
+				if i%2 == 1 {
+					gen.Strip(rng, doc, 0.3)
+				}
+				add("decorated", gen.Decorate(rng, doc.String()))
+			}
 			for i := 0; i < 10; i++ {
 				doc := gen.GenValid(rng, d, "e0", gen.DocOptions{MaxDepth: 8})
 				src := doc.String()
@@ -84,21 +92,29 @@ func TestBatchMatchesSequential(t *testing.T) {
 			if stats.Workers < 1 || stats.Docs != len(docs) {
 				t.Fatalf("stats: %+v", stats)
 			}
-			var batchLines, seqLines []string
+			var batchLines, readerLines, seqLines []string
 			for i, r := range results {
 				batchLines = append(batchLines, verdictLine(r.ID, r.PotentiallyValid, r.Valid, r.Err != nil))
+				rr := e.CheckReader(schema, docs[i].ID, strings.NewReader(docs[i].Content))
+				readerLines = append(readerLines, verdictLine(rr.ID, rr.PotentiallyValid, rr.Valid, rr.Err != nil))
 				pv, valid, malformed := sequentialVerdict(schema.Core, schema.Valid, docs[i].Content)
 				seqLines = append(seqLines, verdictLine(docs[i].ID, pv, valid, malformed))
 			}
-			batch, seq := strings.Join(batchLines, "\n"), strings.Join(seqLines, "\n")
-			if batch != seq {
-				for i := range batchLines {
-					if batchLines[i] != seqLines[i] {
-						t.Errorf("verdict mismatch:\n  batch: %s\n  seq:   %s\n  doc:   %.200q",
-							batchLines[i], seqLines[i], docs[i].Content)
+			seq := strings.Join(seqLines, "\n")
+			for _, path := range []struct {
+				name  string
+				lines []string
+			}{{"batch", batchLines}, {"reader", readerLines}} {
+				if strings.Join(path.lines, "\n") == seq {
+					continue
+				}
+				for i := range path.lines {
+					if path.lines[i] != seqLines[i] {
+						t.Errorf("verdict mismatch:\n  %s: %s\n  seq:   %s\n  doc:   %.200q",
+							path.name, path.lines[i], seqLines[i], docs[i].Content)
 					}
 				}
-				t.Fatal("batch and sequential verdicts differ")
+				t.Fatalf("%s and sequential verdicts differ", path.name)
 			}
 
 			// Every valid document must be PV (Valid ⊆ PV), and all stripped

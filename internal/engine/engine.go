@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/complete"
 	"repro/internal/core"
-	"repro/internal/dom"
 	"repro/internal/faultfs"
 	"repro/internal/jobs"
 	"repro/internal/jobs/jobstore"
@@ -148,14 +147,12 @@ type Config struct {
 	// of recompiled) on later misses — including by freshly started
 	// processes. Empty disables the tier.
 	CacheDir string
-	// PVOnly skips the full-validity bit (which needs a tree parse of every
-	// potentially valid document) — the fastest mode for firehose filtering.
-	PVOnly bool
 	// DisableFastPath makes every schema this engine compiles skip the
-	// content-model DFA fast path, running the PV recognizer for every
-	// element (engine-wide CompileOptions.DisableFastPath). Verdicts are
-	// identical; the knob exists for apples-to-apples benching and as an
-	// operational escape hatch.
+	// content-model DFA fast path, running the PV recognizer and a
+	// position-set validity lane for every element (engine-wide
+	// CompileOptions.DisableFastPath). Verdicts are identical; the knob
+	// exists for apples-to-apples benching and as an operational escape
+	// hatch.
 	DisableFastPath bool
 	// JobWorkers bounds how many async jobs execute concurrently (each
 	// job's chunks still share the engine-wide Workers semaphore, so this
@@ -211,7 +208,6 @@ type Engine struct {
 	store       *Registry
 	jobs        *jobs.Manager
 	workers     int
-	pvOnly      bool
 	noFastPath  bool // Config.DisableFastPath: compile every schema slow-tier only
 	maxDocBytes int  // per-document cap on the NDJSON stream routes
 	streamBuf   int  // CheckReader sliding-window size; 0 = xmltext default
@@ -318,7 +314,6 @@ func Open(cfg Config) (*Engine, error) {
 			Store:      store,
 		}),
 		workers:     w,
-		pvOnly:      cfg.PVOnly,
 		noFastPath:  cfg.DisableFastPath,
 		maxDocBytes: cfg.MaxDocBytes,
 		streamBuf:   cfg.StreamBufBytes,
@@ -402,49 +397,29 @@ func (e *Engine) Compile(kind SourceKind, src, root string, opts CompileOptions)
 	return e.store.Compile(kind, src, root, opts)
 }
 
-// check runs the verdict for one document on a (reusable) stream checker.
-// The streaming pass settles well-formedness and potential validity in one
-// linear scan; only documents that pass it pay for the tree parse that the
-// full-validity bit needs. Both passes read the document in place.
-func (e *Engine) check(s *Schema, c *core.StreamChecker, d Doc) Result {
+// check runs the verdict for one document on a (reusable) stream checker:
+// one linear scan over the document, read in place, settles
+// well-formedness, potential validity and full validity.
+func (e *Engine) check(c *core.StreamChecker, d Doc) Result {
 	src := d.data()
 	res := Result{ID: d.ID, Bytes: len(src)}
-	err := c.RunBytes(src)
-	e.harvestFastPath(c)
-	if err != nil {
-		if core.IsViolation(err) {
-			res.Detail = err.Error()
-		} else {
-			res.Err = err
-		}
-		return res
-	}
-	res.PotentiallyValid = true
-	if !e.pvOnly {
-		if c.StrictlyValid() {
-			// Every element closed in an accepting DFA state: the content
-			// is a complete word of its model everywhere, so the document
-			// is fully valid and the tree parse has nothing left to
-			// decide. This is the fast path's big win on valid-heavy
-			// traffic — the whole DOM pass disappears (servebench's
-			// core.strict_frac and dom.tree_pass_frac count it, and
-			// TestEngineTwoTierDifferential pins verdict equality).
-			res.Valid = true
-			return res
-		}
-		doc, perr := dom.ParseBytes(src)
-		if perr != nil {
-			// The stream lexer and the tree parser should agree on
-			// well-formedness (the fuzz targets enforce it); if they ever
-			// diverge, surface the parse error rather than inventing a
-			// PV-but-not-valid verdict CheckString would not produce.
-			res.PotentiallyValid = false
-			res.Err = perr
-			return res
-		}
-		res.Valid = s.Valid.Validate(doc.Root) == nil
-	}
+	e.verdict(&res, c, c.RunBytes(src))
 	return res
+}
+
+// verdict fills res from one finished stream-checker run that returned
+// err, and folds the run's fast-path counters into the lifetime totals.
+func (e *Engine) verdict(res *Result, c *core.StreamChecker, err error) {
+	e.harvestFastPath(c)
+	switch {
+	case err == nil:
+		res.PotentiallyValid = true
+		res.Valid = c.StrictlyValid()
+	case core.IsViolation(err):
+		res.Detail = err.Error()
+	default:
+		res.Err = err
+	}
 }
 
 // harvestFastPath folds one finished run's fast-path counters into the
@@ -553,7 +528,7 @@ func (e *Engine) Check(s *Schema, d Doc) Result {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 	c := s.checkers.Get().(*core.StreamChecker)
-	res := e.check(s, c, d)
+	res := e.check(c, d)
 	s.checkers.Put(c)
 	e.account(&res)
 	return res
@@ -574,10 +549,9 @@ func (c *countReader) Read(p []byte) (int, error) {
 
 // CheckReader checks one document streamed from r in bounded memory —
 // O(element depth + sliding window), independent of document size, with no
-// cap. The verdict is potential validity only: the full-validity bit needs
-// a tree parse, which is exactly the O(document) cost this path exists to
-// avoid (Valid is always false here). Like Check, it counts against the
-// engine-wide worker bound and the lifetime counters.
+// cap. The verdict is the same as Check's on the same bytes, full-validity
+// bit included. Like Check, it counts against the engine-wide worker bound
+// and the lifetime counters.
 func (e *Engine) CheckReader(s *Schema, id string, r io.Reader) Result {
 	if s == nil {
 		res := Result{ID: id, Err: errNoSchema}
@@ -589,17 +563,9 @@ func (e *Engine) CheckReader(s *Schema, id string, r io.Reader) Result {
 	c := s.checkers.Get().(*core.StreamChecker)
 	cr := &countReader{r: r}
 	err := c.RunReaderBuffer(cr, e.streamBuf)
-	e.harvestFastPath(c)
-	s.checkers.Put(c)
 	res := Result{ID: id, Bytes: int(cr.n)}
-	switch {
-	case err == nil:
-		res.PotentiallyValid = true
-	case core.IsViolation(err):
-		res.Detail = err.Error()
-	default:
-		res.Err = err
-	}
+	e.verdict(&res, c, err)
+	s.checkers.Put(c)
 	e.account(&res)
 	return res
 }
@@ -698,7 +664,7 @@ func (e *Engine) CheckBatch(s *Schema, docs []Doc) ([]Result, BatchStats) {
 	results, workers := runBatch(e, s, docs,
 		func(sc *Schema) *core.StreamChecker { return sc.checkers.Get().(*core.StreamChecker) },
 		func(sc *Schema, c *core.StreamChecker) { sc.checkers.Put(c) },
-		e.check,
+		func(_ *Schema, c *core.StreamChecker, d Doc) Result { return e.check(c, d) },
 		func(d *Doc, err error) Result { return Result{ID: d.ID, Bytes: d.Size(), Err: err} },
 	)
 	stats := BatchStats{Docs: len(docs), Workers: workers}

@@ -136,15 +136,6 @@ func TestConcurrentBatchesShareWorkerBound(t *testing.T) {
 	}
 }
 
-func TestPVOnlySkipsValidBit(t *testing.T) {
-	e := New(Config{Workers: 2, PVOnly: true})
-	s := mustSchema(t, e, dtd.Figure1, "r")
-	res := e.Check(s, Doc{Content: `<r><a><c>x</c><d></d></a></r>`})
-	if !res.PotentiallyValid || res.Valid {
-		t.Errorf("PVOnly: pv=%v valid=%v, want pv=true valid=false", res.PotentiallyValid, res.Valid)
-	}
-}
-
 func TestRegistryHitMissEvict(t *testing.T) {
 	r := NewRegistry(2)
 	if _, err := r.Compile(DTDSource, dtd.Figure1, "r", CompileOptions{}); err != nil {

@@ -48,8 +48,8 @@ func TestCheckRawVerdicts(t *testing.T) {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	res := rawResult(t, rec)
-	if !res.PotentiallyValid || res.Valid || res.ID != "doc-1" || res.Error != "" {
-		t.Errorf("pv doc: %+v", res)
+	if !res.PotentiallyValid || !res.Valid || res.ID != "doc-1" || res.Error != "" {
+		t.Errorf("valid doc: %+v", res)
 	}
 
 	// Same schema via the header spelling; a PV violation comes back as a

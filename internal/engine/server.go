@@ -64,8 +64,8 @@ import (
 // raw XML document — no JSON envelope, optionally gzip-encoded — checked in
 // bounded memory (O(element depth + sliding window)) no matter its size.
 // The schema comes from an X-Schema-Ref header or ?schemaRef= query
-// parameter; the verdict is potential validity only (the full-validity bit
-// needs a tree, which is what this route avoids building).
+// parameter; the verdict, full-validity bit included, is the same as
+// /check's on the same document.
 //
 // The /complete* routes answer with the completed document (a valid
 // extension of a potentially valid input, per the paper's Definition 3)

@@ -315,7 +315,7 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 // previously compiled via /schemas or a stream header): 400 without a ref,
 // 404 when it resolves to nothing. gzip Content-Encoding is honored (415
 // otherwise, like the stream routes) and the check sees inflated bytes.
-// The verdict is potential validity only; Valid is always false here.
+// The verdict carries the full-validity bit, as on every check route.
 func serveCheckRaw(e *Engine, w http.ResponseWriter, r *http.Request) {
 	ref := r.Header.Get("X-Schema-Ref")
 	if ref == "" {

@@ -3,19 +3,21 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dtd"
 	"repro/internal/gen"
 )
 
-// TestEngineTwoTierDifferential pins that the DFA fast path — including
-// the strict-validity shortcut that skips the tree pass — is invisible in
-// engine verdicts: a fast engine and a DisableFastPath engine produce
-// identical PotentiallyValid, Valid and Detail for 1000+ generated
-// documents (valid, stripped, corrupted) across the fixture and random
-// DTDs, plus the shortcut's corner cases (whitespace inside EMPTY
-// elements, AllowAnyRoot with a non-schema root).
+// TestEngineTwoTierDifferential pins that the DFA fast path is invisible
+// in engine verdicts: a fast engine and a DisableFastPath engine, each on
+// its batch and its reader path, produce identical PotentiallyValid, Valid
+// and Detail for 1000+ generated documents (valid, stripped, corrupted,
+// half of them decorated) across the fixture and random DTDs, plus the
+// validity bit's corner cases (whitespace inside EMPTY elements,
+// AllowAnyRoot with a non-schema root); every path equals the sequential
+// tree path's verdict.
 func TestEngineTwoTierDifferential(t *testing.T) {
 	fast, err := Open(Config{Workers: 4, VolatileJobs: true})
 	if err != nil {
@@ -71,7 +73,11 @@ func TestEngineTwoTierDifferential(t *testing.T) {
 			case 3:
 				gen.StripAll(doc)
 			}
-			w.docs = append(w.docs, Doc{ID: fmt.Sprintf("%s-%d", sc.root, i), Content: doc.String()})
+			xml := doc.String()
+			if i%8 >= 4 {
+				xml = gen.Decorate(rng, xml)
+			}
+			w.docs = append(w.docs, Doc{ID: fmt.Sprintf("%s-%d", sc.root, i), Content: xml})
 		}
 		workloads = append(workloads, w)
 	}
@@ -104,13 +110,23 @@ func TestEngineTwoTierDifferential(t *testing.T) {
 		}
 		fr, _ := fast.CheckBatch(fs, w.docs)
 		sr, _ := slow.CheckBatch(ss, w.docs)
-		for i := range w.docs {
-			if fr[i].PotentiallyValid != sr[i].PotentiallyValid ||
-				fr[i].Valid != sr[i].Valid ||
-				fr[i].Detail != sr[i].Detail ||
-				(fr[i].Err != nil) != (sr[i].Err != nil) {
-				t.Fatalf("doc %s (root %s, opts %+v): fast %+v vs slow %+v\n%s",
-					w.docs[i].ID, w.root, w.opts, fr[i], sr[i], w.docs[i].Content)
+		for i, d := range w.docs {
+			pv, valid, malformed := sequentialVerdict(fs.Core, fs.Valid, d.Content)
+			want := verdictLine(d.ID, pv, valid, malformed)
+			for _, path := range []struct {
+				name string
+				r    Result
+			}{
+				{"fast", fr[i]},
+				{"slow", sr[i]},
+				{"fast reader", fast.CheckReader(fs, d.ID, strings.NewReader(d.Content))},
+				{"slow reader", slow.CheckReader(ss, d.ID, strings.NewReader(d.Content))},
+			} {
+				r := path.r
+				if got := verdictLine(r.ID, r.PotentiallyValid, r.Valid, r.Err != nil); got != want || r.Detail != sr[i].Detail {
+					t.Fatalf("doc %s (root %s, opts %+v): %s %+v, want %s (detail %q)\n%s",
+						d.ID, w.root, w.opts, path.name, r, want, sr[i].Detail, d.Content)
+				}
 			}
 			total++
 		}

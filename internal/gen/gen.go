@@ -436,6 +436,30 @@ func Corrupt(rng *rand.Rand, d *dtd.DTD, root *dom.Node) bool {
 	}
 }
 
+// decorations are what Decorate inserts: mostly markup that neither
+// checker nor validator counts as content, sometimes text.
+var decorations = []string{
+	"<!-- note -->", "<?pi x?>", " ", "\n  ", "<![CDATA[]]>", " <!-- c --> ",
+	"<![CDATA[ ]]>", "x", "<!-- c -->y",
+}
+
+// Decorate inserts a random decoration before about a quarter of the tags
+// of a serialized document: comments, processing instructions,
+// whitespace, empty CDATA sections and stray text. Comments, PIs and
+// empty CDATA never change a verdict; whitespace and stray text do inside
+// EMPTY content or where no character data may go, and stray text makes
+// element content invalid.
+func Decorate(rng *rand.Rand, xml string) string {
+	var b strings.Builder
+	for i := 0; i < len(xml); i++ {
+		if xml[i] == '<' && i > 0 && rng.Intn(4) == 0 {
+			b.WriteString(decorations[rng.Intn(len(decorations))])
+		}
+		b.WriteByte(xml[i])
+	}
+	return b.String()
+}
+
 // Classify builds the reachability table and returns the DTD's class; a
 // convenience for generators' tests and the benchmark harness.
 func Classify(d *dtd.DTD) reach.Class { return reach.Build(d).Class() }

@@ -101,6 +101,7 @@ type Rule struct {
 	Model *contentmodel.Expr
 }
 
+// String renders the rule as "LHS -> RHS".
 func (r Rule) String() string { return r.LHS + " -> " + r.RHS }
 
 // ECFG is the extended context-free grammar G(T,r) of Section 3.1, or its

@@ -281,14 +281,13 @@ func (s *Schema) Ref() string {
 // checking with one read syscall and no string round trip. Not safe for
 // concurrent use; create one per goroutine.
 type FileChecker struct {
-	s   *Schema
 	c   *core.StreamChecker
 	buf []byte
 }
 
 // NewFileChecker returns a reusable file checker for the schema.
 func (s *Schema) NewFileChecker() *FileChecker {
-	return &FileChecker{s: s, c: s.core.NewStreamChecker()}
+	return &FileChecker{c: s.core.NewStreamChecker()}
 }
 
 // read loads path into the checker's buffer, growing it only when a file
@@ -314,34 +313,25 @@ func (fc *FileChecker) read(path string) ([]byte, error) {
 	return fc.buf, nil
 }
 
-// Check reads and checks one file. The semantics mirror CheckString: the
-// error covers I/O and lexical/well-formedness problems only, verdicts are
-// in the Result.
+// Check reads and checks one file in a single streaming pass. The
+// semantics mirror CheckString: the error covers I/O and
+// lexical/well-formedness problems only, verdicts are in the Result.
 func (fc *FileChecker) Check(path string) (Result, error) {
 	data, err := fc.read(path)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{}
 	if err := fc.c.RunBytes(data); err != nil {
 		if !core.IsViolation(err) {
 			return Result{}, err
 		}
-		res.Detail = err.Error()
-		return res, nil
+		return Result{Detail: err.Error()}, nil
 	}
-	res.PotentiallyValid = true
-	doc, err := dom.ParseBytes(data)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Valid = fc.s.valid.Validate(doc.Root) == nil
-	return res, nil
+	return Result{PotentiallyValid: true, Valid: fc.c.StrictlyValid()}, nil
 }
 
 // CheckStream streams one file through the byte path and returns the
-// potential-validity verdict only (no tree parse, no full-validity bit) —
-// the fastest per-file mode.
+// potential-validity verdict only; it is Check's pass without the Result.
 func (fc *FileChecker) CheckStream(path string) error {
 	data, err := fc.read(path)
 	if err != nil {
@@ -455,8 +445,8 @@ func (s *Schema) Info() string {
 type Engine struct{ e *engine.Engine }
 
 // EngineConfig parameterizes NewEngine. The zero value is a good default:
-// GOMAXPROCS workers, a 64-schema cache striped over 8 shards, both
-// verdict bits computed, no disk cache.
+// GOMAXPROCS workers, a 64-schema cache striped over 8 shards, no disk
+// cache.
 type EngineConfig struct {
 	// Workers bounds batch concurrency; <=0 selects GOMAXPROCS.
 	Workers int
@@ -472,9 +462,6 @@ type EngineConfig struct {
 	// process restarts) rehydrate them instead of recompiling. Empty
 	// disables the tier.
 	SchemaCacheDir string
-	// PVOnly skips the full-validity bit, which needs a tree parse of each
-	// potentially valid document — the fastest mode for firehose filtering.
-	PVOnly bool
 	// MaxDocBytes caps one document on the HTTP NDJSON stream routes
 	// (/check/stream, /complete/stream); <=0 keeps the 64MB default. The
 	// /check/raw route and CheckReader are never capped.
@@ -547,7 +534,6 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 		CacheSize:      cfg.SchemaCacheSize,
 		Shards:         cfg.SchemaCacheShards,
 		CacheDir:       cfg.SchemaCacheDir,
-		PVOnly:         cfg.PVOnly,
 		MaxDocBytes:    cfg.MaxDocBytes,
 		StreamBufBytes: cfg.StreamBufBytes,
 		JobWorkers:     cfg.JobWorkers,
@@ -621,9 +607,8 @@ func (e *Engine) Check(s *Schema, d Doc) BatchResult { return e.e.Check(engSchem
 // CheckReader checks one document streamed from r in bounded memory —
 // O(element depth + sliding window) regardless of size, with no cap; the
 // engine-side twin of Schema.CheckReader (HTTP: POST /check/raw). The
-// verdict is potential validity only: the full-validity bit would need a
-// tree parse, which is exactly the O(document) cost this path avoids. It
-// counts against the engine's worker bound and lifetime stats.
+// verdict, full-validity bit included, is the same as Check's on the same
+// bytes. It counts against the engine's worker bound and lifetime stats.
 func (e *Engine) CheckReader(s *Schema, id string, r io.Reader) BatchResult {
 	return e.e.CheckReader(engSchema(s), id, r)
 }
