@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -98,8 +99,9 @@ func genDoc(args []string) {
 		fmt.Fprintf(os.Stderr, "pvgen: %v\n", err)
 		os.Exit(2)
 	}
-	if *root == "" {
-		*root = d.Order[0]
+	if *root, err = docRoot(d, *root); err != nil {
+		fmt.Fprintf(os.Stderr, "pvgen: %v\n", err)
+		usage()
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	if *stream {
@@ -134,6 +136,22 @@ func genDoc(args []string) {
 		fmt.Fprintf(os.Stderr, "stripped %d elements (result is potentially valid by Theorem 2)\n", removed)
 	}
 	fmt.Println(doc.String())
+}
+
+// docRoot resolves -root against the DTD: the first declared element when
+// root is empty, else root itself, which must be declared. Both generators
+// assume a declared root, so this runs before either.
+func docRoot(d *dtd.DTD, root string) (string, error) {
+	if len(d.Order) == 0 {
+		return "", errors.New("the DTD declares no element")
+	}
+	if root == "" {
+		return d.Order[0], nil
+	}
+	if d.Element(root) == nil {
+		return "", fmt.Errorf("-root %q is not declared in the DTD", root)
+	}
+	return root, nil
 }
 
 // parseSize parses a byte count with an optional K, M or G suffix

@@ -1,6 +1,7 @@
 package pv
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -201,8 +202,17 @@ func TestEngineCompleteBatchPublicAPI(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"inserted": 1`) {
-		t.Errorf("POST /complete: %d %s", resp.StatusCode, body)
+	var reply struct {
+		Results []struct {
+			Completed bool   `json:"completed"`
+			Inserted  int    `json:"inserted"`
+			Output    string `json:"output"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil || resp.StatusCode != http.StatusOK ||
+		len(reply.Results) != 1 || !reply.Results[0].Completed || reply.Results[0].Inserted != 1 ||
+		reply.Results[0].Output != "<r><a>loose text</a></r>" {
+		t.Errorf("POST /complete: %d %s (%v)", resp.StatusCode, body, err)
 	}
 }
 

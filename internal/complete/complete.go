@@ -243,15 +243,27 @@ func (c *Completer) Complete(root *dom.Node) (*dom.Node, int, error) {
 // themselves (nodes of the returned tree, in creation order) instead of
 // just their count — the input for diff computation (internal/diff).
 func (c *Completer) CompleteTracked(root *dom.Node) (*dom.Node, []*dom.Node, error) {
-	if v := c.schema.CheckDocument(root); v != nil {
-		return nil, nil, &core.ViolationError{Reason: fmt.Sprintf("complete: document is not potentially valid: %v", v)}
-	}
 	out := root.Clone()
-	log := &insLog{}
-	if err := c.completeNode(out, c.depth, log); err != nil {
+	nodes, err := c.CompleteInPlace(out)
+	if err != nil {
 		return nil, nil, err
 	}
-	return out, log.nodes, nil
+	return out, nodes, nil
+}
+
+// CompleteInPlace is CompleteTracked for a caller that owns root and keeps
+// only the result: root itself becomes the valid extension, with no
+// clone. It returns the inserted element nodes in creation order. On an
+// error root may be partly rewritten and should be dropped.
+func (c *Completer) CompleteInPlace(root *dom.Node) ([]*dom.Node, error) {
+	if v := c.schema.CheckDocument(root); v != nil {
+		return nil, &core.ViolationError{Reason: fmt.Sprintf("complete: document is not potentially valid: %v", v)}
+	}
+	log := &insLog{}
+	if err := c.completeNode(root, c.depth, log); err != nil {
+		return nil, err
+	}
+	return log.nodes, nil
 }
 
 // completeNode rewrites n's children into a valid configuration (recursing

@@ -180,6 +180,16 @@ func checkExtension(t *testing.T, c *Completer, val *validator.Validator, label 
 	if err != nil {
 		t.Fatalf("%s: %v\n%s", label, err, in)
 	}
+	if got := doc.String(); got != in {
+		t.Errorf("%s: CompleteTracked changed its input to\n%s\nfrom\n%s", label, got, in)
+	}
+	// Completing a private copy in place gives the same extension.
+	own := doc.Clone()
+	if nodes, err := c.CompleteInPlace(own); err != nil || len(nodes) != len(inserted) || own.String() != ext.String() {
+		t.Errorf("%s: CompleteInPlace gives %d insertions, %v:\n%s\nCompleteTracked %d:\n%s", label, len(nodes), err, own, len(inserted), ext)
+	} else if err := own.Validate(); err != nil {
+		t.Errorf("%s: tree invariants after CompleteInPlace: %v", label, err)
+	}
 	if err := val.Validate(ext); err != nil {
 		t.Errorf("%s: completion invalid: %v\noriginal: %s\ncompleted: %s", label, err, in, ext)
 	}

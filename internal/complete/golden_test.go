@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diff"
 	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/gen"
@@ -189,4 +190,59 @@ func TestCompleteGoldenCorpus(t *testing.T) {
 			t.Errorf("group %s: completion digest %s, pinned %s", g.name, got[g.name], want)
 		}
 	}
+}
+
+// goldenRecordDigests pins, per corpus group, the SHA-256 of every
+// completion's insertion records (diff.ComputeDoc over the completed
+// document), so a change to how records are derived shows up even when
+// the plans themselves do not move.
+var goldenRecordDigests = map[string]string{
+	"figure1":             "7d2be64dadb58ec5e46d4b52efd9d804934346bd5f6cdbcad8d6dc73230465c4",
+	"play":                "7ea153697da9f3d0dff566c8c97a5e85faf4f130307a1946ecc383695ea1d9b2",
+	"article":             "a056c56889c01dd6658385d49fde0e9847b1e1937674d5f1697a97e276f60a63",
+	"tei-lite":            "524fca2725626000f35f0e262a2295da36b6659e2a8750c516f111f0ad684e36",
+	"random-nonrecursive": "52f0e6876e4b47f2d2ef03263165b8cf3abc7203a1be211ccf604d41861348f1",
+	"random-weak":         "ee5807a462da292666bc01ab29b600c742be17471ae191eb795b5b175c4339a3",
+	"random-strong":       "21b6c81d52f20190adbb790fbe6b69cdc00a50be90933f91faf21cc3650b98c6",
+}
+
+// TestCompleteGoldenInsertionRecords pins the insertion records of the
+// golden corpus: path, index, name and the synthesized bit of every
+// record, in order.
+func TestCompleteGoldenInsertionRecords(t *testing.T) {
+	kinds := map[bool]int{} // records by their synthesized bit
+	for _, g := range goldenCorpus() {
+		h := sha256.New()
+		for pi, part := range g.parts {
+			c := New(part.schema)
+			for k, src := range part.docs {
+				doc, err := dom.Parse(src)
+				if err != nil {
+					t.Fatalf("%s part %d doc %d: %v", g.name, pi, k, err)
+				}
+				out, nodes, err := c.CompleteTracked(doc.Root)
+				if err != nil {
+					fmt.Fprintf(h, "error\n")
+					continue
+				}
+				doc.Root = out
+				d := diff.ComputeDoc(out, nodes, doc.String())
+				fmt.Fprintf(h, "%d\n", d.Inserted)
+				for _, r := range d.Insertions {
+					fmt.Fprintf(h, "%s %d %s %t\n", r.Path, r.Index, r.Name, r.Synthesized)
+					kinds[r.Synthesized]++
+				}
+			}
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		if want, ok := goldenRecordDigests[g.name]; !ok || got != want {
+			t.Errorf("group %s: insertion-record digest %s, pinned %q", g.name, got, want)
+		}
+	}
+	// The pin covers both kinds of record: invented subtrees and wrappers
+	// around existing content.
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Errorf("records by synthesized bit: %v; want both kinds", kinds)
+	}
+	t.Logf("records: %d synthesized, %d wrappers", kinds[true], kinds[false])
 }

@@ -11,6 +11,7 @@ package diff
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dom"
@@ -85,57 +86,90 @@ func ComputeDoc(completed *dom.Node, inserted []*dom.Node, serialized string) *D
 // Records walks the completed tree in document order and emits one
 // Insertion per element in the inserted set. An element all of whose
 // descendant elements are themselves inserted (and which holds no text) is
-// marked Synthesized.
+// marked Synthesized. One walk does it all: the path segments live on one
+// stack, a parent's path is rendered only when it has an inserted child,
+// and the Synthesized bit is computed bottom-up on the way back.
 func Records(completed *dom.Node, inserted map[*dom.Node]bool) []Insertion {
-	var out []Insertion
-	var walk func(n *dom.Node, path string)
-	walk = func(n *dom.Node, path string) {
-		// Count same-name element occurrences to build child segments.
-		nameSeen := map[string]int{}
-		for idx, ch := range n.Children {
-			if ch.Kind != dom.ElementNode {
-				continue
-			}
-			occ := nameSeen[ch.Name]
-			nameSeen[ch.Name]++
-			if inserted[ch] {
-				out = append(out, Insertion{
-					Path:        path,
-					Index:       idx,
-					Name:        ch.Name,
-					Synthesized: synthesized(ch, inserted),
-				})
-			}
-			childPath := fmt.Sprintf("%s/%s[%d]", strings.TrimSuffix(path, "/"), ch.Name, occ)
-			walk(ch, childPath)
-		}
-	}
+	w := recordWalk{inserted: inserted, path: append([]byte{'/'}, completed.Name...)}
 	if inserted[completed] {
-		out = append(out, Insertion{
-			Path:        "/",
-			Index:       0,
-			Name:        completed.Name,
-			Synthesized: synthesized(completed, inserted),
-		})
+		w.out = append(w.out, Insertion{Path: "/", Index: 0, Name: completed.Name})
 	}
-	walk(completed, "/"+completed.Name)
-	return out
+	if synth := w.walk(completed); inserted[completed] {
+		w.out[0].Synthesized = synth
+	}
+	return w.out
 }
 
-// synthesized reports whether n's entire subtree was invented: every
-// descendant element is inserted and no text rides inside.
-func synthesized(n *dom.Node, inserted map[*dom.Node]bool) bool {
-	ok := true
-	n.Walk(func(x *dom.Node) bool {
-		switch {
-		case x.Kind == dom.ElementNode && !inserted[x]:
-			ok = false
-		case x.Kind == dom.TextNode && x.Data != "":
-			ok = false
+// recordWalk is the state of one Records walk.
+type recordWalk struct {
+	inserted map[*dom.Node]bool
+	out      []Insertion
+	// path is the path of the element being walked; each level appends its
+	// segment and truncates it again on the way back.
+	path []byte
+	// names counts same-name element siblings: one run of entries per
+	// level being walked, truncated when the level is done.
+	names []nameCount
+}
+
+type nameCount struct {
+	name string
+	n    int
+}
+
+// walk emits the records of n's descendants and reports whether n's
+// subtree was invented: n and every descendant element are inserted and
+// no text rides inside.
+func (w *recordWalk) walk(n *dom.Node) bool {
+	synth := w.inserted[n]
+	base := len(w.names)
+	parent, rendered := "", false
+	for idx, ch := range n.Children {
+		if ch.Kind == dom.TextNode && ch.Data != "" {
+			synth = false
 		}
-		return ok
-	})
-	return ok
+		if ch.Kind != dom.ElementNode {
+			continue
+		}
+		occ := w.occurrence(base, ch.Name)
+		rec := -1
+		if w.inserted[ch] {
+			if !rendered {
+				parent, rendered = string(w.path), true
+			}
+			rec = len(w.out)
+			w.out = append(w.out, Insertion{Path: parent, Index: idx, Name: ch.Name})
+		}
+		mark := len(w.path)
+		if mark == 0 || w.path[mark-1] != '/' {
+			w.path = append(w.path, '/')
+		}
+		w.path = append(w.path, ch.Name...)
+		w.path = append(w.path, '[')
+		w.path = strconv.AppendInt(w.path, int64(occ), 10)
+		w.path = append(w.path, ']')
+		childSynth := w.walk(ch)
+		w.path = w.path[:mark]
+		if rec >= 0 {
+			w.out[rec].Synthesized = childSynth
+		}
+		synth = synth && childSynth
+	}
+	w.names = w.names[:base]
+	return synth
+}
+
+// occurrence returns how many element siblings named name the current
+// level (its counts start at base) has seen before, and counts this one.
+func (w *recordWalk) occurrence(base int, name string) int {
+	for i := base; i < len(w.names); i++ {
+		if w.names[i].name == name {
+			w.names[i].n++
+			return w.names[i].n - 1
+		}
+	}
+	w.names = append(w.names, nameCount{name: name, n: 1})
+	return 0
 }
 
 // Summary renders the diff as human-readable lines: one per insertion,

@@ -104,7 +104,8 @@ func (e *Engine) completeOne(s *Schema, c *complete.Completer, d Doc, withDiff b
 		res.Output = serializeDoc(doc)
 		return res
 	}
-	out, nodes, err := c.CompleteTracked(doc.Root)
+	// The tree is this call's own parse, so it completes in place.
+	nodes, err := c.CompleteInPlace(doc.Root)
 	if err != nil {
 		if core.IsViolation(err) {
 			res.Detail = err.Error()
@@ -117,10 +118,9 @@ func (e *Engine) completeOne(s *Schema, c *complete.Completer, d Doc, withDiff b
 	res.Inserted = len(nodes)
 	// Serialize at document level: prolog/epilog nodes (XML declaration
 	// PI, license comments) survive completion.
-	doc.Root = out
 	res.Output = serializeDoc(doc)
 	if withDiff {
-		res.Insertions = diff.ComputeDoc(out, nodes, res.Output).Insertions
+		res.Insertions = diff.ComputeDoc(doc.Root, nodes, res.Output).Insertions
 	}
 	return res
 }

@@ -84,7 +84,7 @@ func (e *Engine) encodeJobPayload(op string, s *Schema, docs []Doc, diff, withRe
 			Bytes:   docs[i].Bytes,
 		}
 	}
-	return json.Marshal(p)
+	return marshal(p)
 }
 
 // recoverRunner is the jobs.RunnerResolver the engine hands to
@@ -171,7 +171,7 @@ func (e *Engine) checkChunk(s *Schema, docs []Doc, lo, hi int, leaves []receipt.
 	lines := make([][]byte, len(results))
 	for i := range results {
 		results[i].Index = lo + i
-		b, err := json.Marshal(toJSON(results[i]))
+		b, err := marshal(toJSON(results[i]))
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +191,7 @@ func (e *Engine) completeChunk(s *Schema, docs []Doc, withDiff bool, lo, hi int,
 	lines := make([][]byte, len(results))
 	for i := range results {
 		results[i].Index = lo + i
-		b, err := json.Marshal(completeToJSON(results[i]))
+		b, err := marshal(completeToJSON(results[i]))
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -248,7 +247,7 @@ func (e *Engine) attachReceipt(j *jobs.Job, kind string, leaves []receipt.Leaf) 
 	if err != nil || rec == nil {
 		return
 	}
-	data, err := json.Marshal(rec)
+	data, err := marshal(rec)
 	if err != nil {
 		return
 	}

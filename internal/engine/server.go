@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -216,7 +218,7 @@ func accepted(w http.ResponseWriter, j *jobs.Job) {
 	loc := "/jobs/" + j.ID()
 	w.Header().Set("Location", loc)
 	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(jobAccepted{
+	_ = newEncoder(w).Encode(jobAccepted{
 		JobID: j.ID(), State: jobs.Queued.String(), Total: j.Info().Total, Location: loc,
 	})
 }
@@ -515,11 +517,14 @@ type verifyResponse struct {
 // than this should be split client-side (or streamed — see ROADMAP).
 const MaxRequestBytes = 64 << 20
 
-// decode parses the JSON body into dst, writing a 400 on failure.
+// decode reads the body whole and decodes it into dst (decodeRequest),
+// writing a 400 on failure and a 413 for a body over MaxRequestBytes.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	body, err := readBody(w, r, MaxRequestBytes)
+	if err == nil {
+		err = decodeRequest(body, dst)
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -553,13 +558,31 @@ func resolve(w http.ResponseWriter, e *Engine, req schemaRequest) (*Schema, bool
 
 func reply(w http.ResponseWriter, body any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_ = newEncoder(w).Encode(body)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	_ = newEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// newEncoder returns a json.Encoder on w that writes compact JSON with <,
+// > and & as themselves. HTML escaping guards JSON pasted into a <script>
+// element; everything this package writes is an API body, an NDJSON line
+// or a stored record, where escaping turned each < and > of a document
+// into six bytes. Every JSON the server writes goes through here.
+func newEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc
+}
+
+// marshal is json.Marshal written through newEncoder.
+func marshal(v any) ([]byte, error) {
+	var b bytes.Buffer
+	if err := newEncoder(&b).Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b.Bytes(), []byte{'\n'}), nil
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -181,7 +180,7 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 		if f, ok := w.(http.Flusher); ok {
 			flush = f.Flush
 		}
-		enc := json.NewEncoder(w)
+		enc := newEncoder(w)
 		emit := func(v any) {
 			if discard {
 				return
@@ -252,10 +251,11 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 			continue
 		}
 		lineNo++
+		// Decode a copy: the scanner reuses raw's buffer for later lines
+		// while this line's document, a view of what it decodes, may still
+		// be in flight.
 		var ln streamLine
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ln); err != nil {
+		if err := decodeRequest(bytes.Clone(raw), &ln); err != nil {
 			terminal(http.StatusBadRequest, fmt.Sprintf("line %d: bad JSON: %v", lineNo, err))
 			break
 		}

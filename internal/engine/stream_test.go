@@ -376,7 +376,7 @@ func streamOverListener(t *testing.T, e *Engine, route string, docs []Doc, want 
 		t.Fatalf("%s: %d lines for %d documents, last %q", route, len(got), len(docs), got[len(got)-1])
 	}
 	for i := range docs {
-		w, err := json.Marshal(want(i))
+		w, err := marshal(want(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -419,14 +419,13 @@ func (s *Schema) CompleteBytes(xml []byte) ([]byte, *Diff, error) {
 		return nil, nil, err
 	}
 	c := s.completer()
-	ext, nodes, err := c.CompleteTracked(parsed.Root)
+	nodes, err := c.CompleteInPlace(parsed.Root)
 	s.putCompleter(c)
 	if err != nil {
 		return nil, nil, err
 	}
-	parsed.Root = ext
 	buf := parsed.AppendXML(nil)
-	d := diff.ComputeDoc(ext, nodes, string(buf))
+	d := diff.ComputeDoc(parsed.Root, nodes, string(buf))
 	return buf, d, nil
 }
 
