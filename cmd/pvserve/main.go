@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	pvserve [-addr :8080] [-workers N] [-cache N] [-shards N] [-cache-dir DIR]
-//	        [-disable-fast-path] [-max-doc-bytes N] [-stream-buf N]
+//	pvserve [-addr :8080] [-workers N] [-cache N] [-cache-dir DIR] [-max-doc-bytes N]
 //	        [-job-workers N] [-job-queue N] [-job-ttl DUR] [-job-volatile] [-job-wal-nosync]
 //	        [-drain DUR]
 //
@@ -45,7 +44,7 @@
 //
 // The schema travels inline with each request; the store dedupes by
 // content hash, so resending it costs a hash, not a compilation. The store
-// is lock-striped over -shards shards, and -cache-dir enables the
+// holds -cache compiled schemas under one LRU, and -cache-dir enables the
 // disk-backed compiled-schema cache: a restarted pvserve rehydrates its
 // hot schema set (and keeps honoring previously issued schemaRefs)
 // without recompiling a single DTD. Documents may instead carry
@@ -57,8 +56,12 @@
 //
 // POST /check/raw has no document cap at all: the body is one raw XML
 // document (schema selected by X-Schema-Ref or ?schemaRef=), checked in a
-// single bounded-memory pass through a -stream-buf sized sliding window —
-// the route for the multi-GB documents the envelope routes cannot carry.
+// single bounded-memory pass through a 256KB sliding window — the route
+// for the multi-GB documents the envelope routes cannot carry.
+//
+// A schema compiles without its content-model DFA tables (every document
+// then runs on the PV recognizer, with the same verdicts) when the request
+// sets "options": {"DisableFastPath": true}.
 package main
 
 import (
@@ -78,12 +81,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "batch worker goroutines (0 = GOMAXPROCS)")
-	cache := flag.Int("cache", 0, "compiled-schema store capacity across shards (0 = default 64)")
-	shards := flag.Int("shards", 0, "schema store lock-stripe count (0 = default 8)")
+	cache := flag.Int("cache", 0, "compiled-schema store capacity in schemas (0 = default 64)")
 	cacheDir := flag.String("cache-dir", "", "disk-backed compiled-schema cache directory (empty = memory only)")
-	noFastPath := flag.Bool("disable-fast-path", false, "compile schemas without content-model DFA fast-path tables (recognizer and position-set checking; same verdicts, for benching and as an escape hatch)")
 	maxDocBytes := flag.Int("max-doc-bytes", 0, "per-document cap on the NDJSON stream routes in bytes (0 = default 64MB; /check/raw is never capped)")
-	streamBuf := flag.Int("stream-buf", 0, "sliding-window size of the /check/raw bounded-memory checker in bytes (0 = default 256KB)")
 	jobWorkers := flag.Int("job-workers", 0, "concurrent async jobs (0 = default 2)")
 	jobQueue := flag.Int("job-queue", 0, "async jobs queued beyond the running ones before 429 (0 = default 64)")
 	jobTTL := flag.Duration("job-ttl", 0, "retention of finished async jobs and their results (0 = default 15m)")
@@ -93,18 +93,15 @@ func main() {
 	flag.Parse()
 
 	e, err := engine.Open(engine.Config{
-		Workers:         *workers,
-		CacheSize:       *cache,
-		Shards:          *shards,
-		CacheDir:        *cacheDir,
-		DisableFastPath: *noFastPath,
-		MaxDocBytes:     *maxDocBytes,
-		StreamBufBytes:  *streamBuf,
-		JobWorkers:      *jobWorkers,
-		JobQueueDepth:   *jobQueue,
-		JobResultTTL:    *jobTTL,
-		VolatileJobs:    *jobVolatile,
-		JobWALNoSync:    *jobWALNoSync,
+		Workers:       *workers,
+		CacheSize:     *cache,
+		CacheDir:      *cacheDir,
+		MaxDocBytes:   *maxDocBytes,
+		JobWorkers:    *jobWorkers,
+		JobQueueDepth: *jobQueue,
+		JobResultTTL:  *jobTTL,
+		VolatileJobs:  *jobVolatile,
+		JobWALNoSync:  *jobWALNoSync,
 	})
 	if err != nil {
 		log.Fatalf("pvserve: %v", err)
@@ -129,8 +126,8 @@ func main() {
 	}
 	st := e.Store().Stats()
 	js := e.Jobs().Stats()
-	log.Printf("pvserve listening on %s (workers=%d, cache=%d over %d shards, cache-dir=%q, job-workers=%d, job-queue=%d, durable-jobs=%v)",
-		*addr, e.Workers(), st.Capacity, st.Shards, *cacheDir, js.Workers, js.QueueDepth, js.Durable)
+	log.Printf("pvserve listening on %s (workers=%d, cache=%d, cache-dir=%q, job-workers=%d, job-queue=%d, durable-jobs=%v)",
+		*addr, e.Workers(), st.Capacity, *cacheDir, js.Workers, js.QueueDepth, js.Durable)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

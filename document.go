@@ -137,7 +137,7 @@ type Session struct {
 // NewSession starts a guarded session; the document must be potentially
 // valid.
 func (s *Schema) NewSession(doc *Document) (*Session, error) {
-	es, err := editor.NewSession(s.core, doc.root)
+	es, err := editor.NewSession(s.eng.Core, doc.root)
 	if err != nil {
 		return nil, err
 	}

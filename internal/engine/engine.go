@@ -136,24 +136,14 @@ func (s *BatchStats) tally(r *Result) {
 type Config struct {
 	// Workers bounds batch concurrency; <=0 selects GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the schema store's total in-memory capacity (split
-	// across shards); <=0 selects DefaultCapacity.
+	// CacheSize bounds the schema store's in-memory capacity in schemas;
+	// <=0 selects DefaultCapacity.
 	CacheSize int
-	// Shards is the schema store's lock-stripe count; <=0 selects
-	// DefaultShards. 1 reproduces the single-mutex registry exactly.
-	Shards int
 	// CacheDir enables the disk tier: compiled schemas are persisted as
 	// content-addressed blobs under this directory and rehydrated (instead
 	// of recompiled) on later misses — including by freshly started
 	// processes. Empty disables the tier.
 	CacheDir string
-	// DisableFastPath makes every schema this engine compiles skip the
-	// content-model DFA fast path, running the PV recognizer and a
-	// position-set validity lane for every element (engine-wide
-	// CompileOptions.DisableFastPath). Verdicts are identical; the knob
-	// exists for apples-to-apples benching and as an operational escape
-	// hatch.
-	DisableFastPath bool
 	// JobWorkers bounds how many async jobs execute concurrently (each
 	// job's chunks still share the engine-wide Workers semaphore, so this
 	// bounds job-level parallelism, not CPU use); <=0 selects 2.
@@ -181,11 +171,6 @@ type Config struct {
 	// <=0 keeps the MaxDocumentBytes default (64MB). The /check/raw route is
 	// never capped — it exists precisely for documents beyond any cap.
 	MaxDocBytes int
-	// StreamBufBytes is the sliding-window size of the bounded-memory reader
-	// path (CheckReader, /check/raw); <=0 selects xmltext.DefaultChunkSize
-	// (256KB). servebench's core.reader_ns_per_byte and
-	// xmltext.chunked_lex_ns_per_byte probes time the path at the default.
-	StreamBufBytes int
 	// FS is the filesystem seam under the engine's durable tier — the
 	// compiled-schema disk cache, the job WAL, and the receipt anchor log
 	// all perform their I/O through it. Nil selects the real filesystem;
@@ -202,15 +187,13 @@ type Config struct {
 	JobStore jobstore.Store
 }
 
-// Engine is the concurrent checking front end: a sharded schema store plus
-// a worker pool configuration and lifetime counters.
+// Engine is the concurrent checking front end: a schema store plus a
+// worker pool configuration and lifetime counters.
 type Engine struct {
 	store       *Registry
 	jobs        *jobs.Manager
 	workers     int
-	noFastPath  bool // Config.DisableFastPath: compile every schema slow-tier only
-	maxDocBytes int  // per-document cap on the NDJSON stream routes
-	streamBuf   int  // CheckReader sliding-window size; 0 = xmltext default
+	maxDocBytes int // per-document cap on the NDJSON stream routes
 	// recovery holds the replay outcome when the engine recovered jobs
 	// from a persistent store at Open (recovered reports whether it did).
 	recovery  jobs.RecoveryStats
@@ -284,7 +267,7 @@ func Open(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	reg := NewShardedRegistry(cfg.CacheSize, cfg.Shards, disk)
+	reg := newRegistry(cfg.CacheSize, disk)
 	// Job persistence: an explicit JobStore wins; otherwise a disk tier
 	// implies the write-ahead log under <CacheDir>/jobs (unless opted out),
 	// and a memory-only engine keeps job state in the process. Only a
@@ -314,9 +297,7 @@ func Open(cfg Config) (*Engine, error) {
 			Store:      store,
 		}),
 		workers:     w,
-		noFastPath:  cfg.DisableFastPath,
 		maxDocBytes: cfg.MaxDocBytes,
-		streamBuf:   cfg.StreamBufBytes,
 		sem:         make(chan struct{}, w),
 		cacheDir:    cfg.CacheDir,
 		fsys:        cfg.FS,
@@ -387,13 +368,9 @@ func (e *Engine) Store() *Registry { return e.store }
 // Workers returns the configured worker bound.
 func (e *Engine) Workers() int { return e.workers }
 
-// Compile resolves a schema through the store (compile-once, sharded LRU,
-// optional disk tier). An engine opened with Config.DisableFastPath
-// forces the slow tier onto every compilation.
+// Compile resolves a schema through the store (compile-once, LRU,
+// optional disk tier).
 func (e *Engine) Compile(kind SourceKind, src, root string, opts CompileOptions) (*Schema, error) {
-	if e.noFastPath {
-		opts.DisableFastPath = true
-	}
 	return e.store.Compile(kind, src, root, opts)
 }
 
@@ -562,7 +539,7 @@ func (e *Engine) CheckReader(s *Schema, id string, r io.Reader) Result {
 	defer func() { <-e.sem }()
 	c := s.checkers.Get().(*core.StreamChecker)
 	cr := &countReader{r: r}
-	err := c.RunReaderBuffer(cr, e.streamBuf)
+	err := c.RunReader(cr)
 	res := Result{ID: id, Bytes: int(cr.n)}
 	e.verdict(&res, c, err)
 	s.checkers.Put(c)

@@ -34,7 +34,6 @@ func (e *Engine) WriteMetrics(out io.Writer) error {
 	rs := e.Store().Stats()
 	w.Gauge("pv_schema_store_size", "Compiled schemas resident in the registry.", float64(rs.Size))
 	w.Gauge("pv_schema_store_capacity", "Registry capacity in schemas.", float64(rs.Capacity))
-	w.Gauge("pv_schema_store_shards", "Registry shard count.", float64(rs.Shards))
 	w.Counter("pv_schema_store_hits_total", "Registry cache hits.", float64(rs.Hits))
 	w.Counter("pv_schema_store_misses_total", "Registry cache misses.", float64(rs.Misses))
 	w.Counter("pv_schema_store_evictions_total", "Schemas evicted from the registry LRU.", float64(rs.Evictions))

@@ -338,7 +338,6 @@ func scrapeParity(t *testing.T, h http.Handler, instance string) {
 		"pv_engine_dfa_states":                float64(stats.Engine.DFAStates),
 		"pv_schema_store_size":                float64(stats.Registry.Size),
 		"pv_schema_store_capacity":            float64(stats.Registry.Capacity),
-		"pv_schema_store_shards":              float64(stats.Registry.Shards),
 		"pv_schema_store_hits_total":          float64(stats.Registry.Hits),
 		"pv_schema_store_misses_total":        float64(stats.Registry.Misses),
 		"pv_schema_store_evictions_total":     float64(stats.Registry.Evictions),

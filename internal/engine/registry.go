@@ -1,6 +1,6 @@
-// Package engine is the concurrent checking subsystem: a sharded two-tier
-// schema store that compiles DTD/XSD sources once and caches the compiled
-// artifacts (lock-striped in-memory shards over an optional disk-backed
+// Package engine is the concurrent checking subsystem: a two-tier schema
+// store that compiles DTD/XSD sources once and caches the compiled
+// artifacts (an in-memory LRU over an optional disk-backed
 // content-addressed cache), and a worker-pool batch checker that fans
 // documents out over a bounded number of goroutines, reusing per-worker
 // streaming checker state. It is the service-shaped layer the ROADMAP's
@@ -54,19 +54,10 @@ func ParseSourceKind(s string) (SourceKind, error) {
 	return 0, fmt.Errorf("engine: unknown schema kind %q (want \"dtd\" or \"xsd\")", s)
 }
 
-// CompileOptions mirrors core.Options; it is part of the cache key, so two
-// compilations of the same source with different options are distinct
-// artifacts.
-type CompileOptions struct {
-	MaxDepth             int
-	IgnoreWhitespaceText bool
-	AllowAnyRoot         bool
-	// DisableFastPath compiles the schema without content-model DFA
-	// tables, forcing every check onto the PV recognizer (core.Options.
-	// DisableFastPath). Part of the key: the fast and slow artifacts of
-	// one source are distinct cache entries with distinct refs.
-	DisableFastPath bool
-}
+// CompileOptions are the core compile options. They are part of the cache
+// key, so two compilations of the same source with different options
+// (DisableFastPath included) are distinct artifacts with distinct refs.
+type CompileOptions = core.Options
 
 // key identifies one compiled artifact: source hash + root + options +
 // schema language. Hashing (rather than keying on the full source) keeps
@@ -89,32 +80,30 @@ func refOf(k key) string {
 }
 
 // entry is one registry slot. The sync.Once gives compile-once semantics
-// under concurrent misses for the same key: the slot is published under its
-// shard's lock, but compilation (or disk rehydration) runs outside it, so N
-// racing clients cost one compilation, not N.
+// under concurrent misses for the same key: the slot is published under the
+// registry lock, but compilation (or disk rehydration) runs outside it, so
+// N racing clients cost one compilation, not N.
 type entry struct {
-	key     key
-	ref     string // refOf(key), precomputed for ResolveRef prefix scans
-	srcLen  int
-	once    sync.Once
-	done    atomic.Bool // set after once.Do completes; guards schema/err reads
-	schema  *Schema
-	err     error
-	hits    int64 // guarded by the shard mutex
-	touched int64 // registry clock at last touch, for global MRU listings
-	elem    *list.Element
+	key    key
+	ref    string // refOf(key), precomputed for ResolveRef prefix scans
+	srcLen int
+	once   sync.Once
+	done   atomic.Bool // set after once.Do completes; guards schema/err reads
+	schema *Schema
+	err    error
+	hits   int64 // guarded by the registry mutex
+	elem   *list.Element
 }
 
-// DefaultCapacity is the store's default total LRU bound (split across
-// shards).
+// DefaultCapacity is the store's default LRU bound.
 const DefaultCapacity = 64
 
-// DefaultShards is the default shard count of a sharded store.
-const DefaultShards = 8
-
-// shard is one lock stripe of the registry: an independently locked LRU
-// over the keys whose refs hash into it.
-type shard struct {
+// Registry is the two-tier schema store: tier 1 is an in-memory LRU of
+// compiled schemas under one mutex, tier 2 an optional disk-backed
+// content-addressed cache of compiled-schema blobs. Failed compilations are
+// cached too (negative caching, memory tier only), so a hot loop of bad
+// requests does not recompile per request.
+type Registry struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[key]*entry
@@ -123,21 +112,8 @@ type shard struct {
 	hits      int64
 	misses    int64
 	evictions int64
-}
 
-// Registry is the sharded two-tier schema store: tier 1 is a set of
-// lock-striped in-memory shards (key-hash partitioned, each with its own
-// LRU bound), tier 2 an optional disk-backed content-addressed cache of
-// compiled-schema blobs. Failed compilations are cached too (negative
-// caching, memory tier only), so a hot loop of bad requests does not
-// recompile per request.
-type Registry struct {
-	shards []*shard
-	disk   *schemastore.Cache
-
-	// clock stamps entry touches so Schemas() can present a global MRU
-	// ordering without a global LRU list.
-	clock atomic.Int64
+	disk *schemastore.Cache
 
 	compiles atomic.Int64
 	// diskLoads counts schemas rehydrated from the disk tier instead of
@@ -156,7 +132,6 @@ type Registry struct {
 type RegistryStats struct {
 	Size         int                `json:"size"`
 	Capacity     int                `json:"capacity"`
-	Shards       int                `json:"shards"`
 	Hits         int64              `json:"hits"`
 	Misses       int64              `json:"misses"`
 	Evictions    int64              `json:"evictions"`
@@ -167,88 +142,45 @@ type RegistryStats struct {
 	Disk         *schemastore.Stats `json:"disk,omitempty"`
 }
 
-// NewRegistry builds a single-shard, memory-only registry bounded to
-// capacity entries (<=0 selects DefaultCapacity) — the configuration whose
-// LRU and stats behavior is exactly the pre-sharding registry's.
+// NewRegistry builds a memory-only registry bounded to capacity entries
+// (<=0 selects DefaultCapacity).
 func NewRegistry(capacity int) *Registry {
-	return NewShardedRegistry(capacity, 1, nil)
+	return newRegistry(capacity, nil)
 }
 
-// NewShardedRegistry builds a registry striped over the given shard count
-// (<=0 selects DefaultShards) with the total capacity split evenly across
-// shards (<=0 selects DefaultCapacity), backed by the optional disk cache
-// (nil for memory-only).
-func NewShardedRegistry(capacity, shards int, disk *schemastore.Cache) *Registry {
+// newRegistry builds a registry bounded to capacity entries (<=0 selects
+// DefaultCapacity), backed by the optional disk cache (nil for
+// memory-only).
+func newRegistry(capacity int, disk *schemastore.Cache) *Registry {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	r := &Registry{shards: make([]*shard, shards), disk: disk}
-	for i := range r.shards {
-		// Exact split: the first capacity%shards shards take the remainder,
-		// so the summed capacity equals the configured bound.
-		perShard := capacity / shards
-		if i < capacity%shards {
-			perShard++
-		}
-		r.shards[i] = &shard{
-			cap:     perShard,
-			entries: make(map[key]*entry, perShard),
-			lru:     list.New(),
-		}
-	}
-	return r
+	return &Registry{cap: capacity, entries: make(map[key]*entry, capacity), lru: list.New(), disk: disk}
 }
 
-// shardFor maps a ref (or any >=8-hex-digit prefix of one) to its shard.
-// The shard is determined by the first eight hex digits — exactly the
-// RefMinLen prefix every valid schemaRef carries — so ref resolution is
-// always a shard-local lookup. ok is false for non-hex input.
-func (r *Registry) shardFor(ref string) (*shard, bool) {
-	var v uint32
-	for i := 0; i < 8; i++ {
-		c := ref[i]
-		switch {
-		case c >= '0' && c <= '9':
-			v = v<<4 | uint32(c-'0')
-		case c >= 'a' && c <= 'f':
-			v = v<<4 | uint32(c-'a'+10)
-		default:
-			return nil, false
-		}
-	}
-	return r.shards[v%uint32(len(r.shards))], true
-}
-
-// getOrAdd finds or inserts the entry for k under the shard lock, touching
-// its LRU position and stats. New entries beyond the shard's capacity evict
-// the shard's least-recently-used entry.
-func (sh *shard) getOrAdd(k key, ref string, srcLen int, stamp int64) *entry {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[k]
+// getOrAdd finds or inserts the entry for k under the registry lock,
+// touching its LRU position and stats. A new entry beyond the capacity
+// evicts the least-recently-used one.
+func (r *Registry) getOrAdd(k key, ref string, srcLen int) *entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[k]
 	if ok {
-		sh.hits++
+		r.hits++
 		e.hits++
-		e.touched = stamp
-		sh.lru.MoveToFront(e.elem)
+		r.lru.MoveToFront(e.elem)
 		return e
 	}
-	sh.misses++
-	e = &entry{key: k, ref: ref, srcLen: srcLen, touched: stamp}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[k] = e
-	for sh.lru.Len() > sh.cap {
-		oldest := sh.lru.Back()
+	r.misses++
+	e = &entry{key: k, ref: ref, srcLen: srcLen}
+	e.elem = r.lru.PushFront(e)
+	r.entries[k] = e
+	for r.lru.Len() > r.cap {
+		oldest := r.lru.Back()
 		victim := oldest.Value.(*entry)
-		sh.lru.Remove(oldest)
-		delete(sh.entries, victim.key)
-		sh.evictions++
+		r.lru.Remove(oldest)
+		delete(r.entries, victim.key)
+		r.evictions++
 	}
 	return e
 }
@@ -260,9 +192,7 @@ func (sh *shard) getOrAdd(k key, ref string, srcLen int, stamp int64) *entry {
 // fresh compilation is persisted for future processes.
 func (r *Registry) Compile(kind SourceKind, src, root string, opts CompileOptions) (*Schema, error) {
 	k := key{hash: sha256.Sum256([]byte(src)), kind: kind, root: root, opts: opts}
-	ref := refOf(k)
-	sh, _ := r.shardFor(ref) // refs are hex by construction
-	e := sh.getOrAdd(k, ref, len(src), r.clock.Add(1))
+	e := r.getOrAdd(k, refOf(k), len(src))
 	e.once.Do(func() {
 		defer e.done.Store(true)
 		if s, ok := r.loadFromDisk(e.ref, &k); ok {
@@ -318,9 +248,7 @@ func (r *Registry) persist(e *entry) {
 	}
 }
 
-// RefMinLen is the shortest accepted schemaRef prefix, in hex digits. It
-// also covers the shard selector (the first eight digits), so resolving a
-// ref never scans more than one shard.
+// RefMinLen is the shortest accepted schemaRef prefix, in hex digits.
 const RefMinLen = 8
 
 // ResolveRef finds the cached compiled schema whose reference (Schema.Ref)
@@ -328,49 +256,46 @@ const RefMinLen = 8
 // position like a Compile hit. Entries still compiling are invisible —
 // a ref only works once the schema it names has been compiled. A ref
 // missing from the memory tier (evicted, or cached by an earlier process)
-// is resurrected from the disk tier when one is configured.
+// is resurrected from the disk tier when one is configured; a prefix that
+// is not hex matches no entry and is refused by the disk tier before any
+// file is touched.
 func (r *Registry) ResolveRef(ref string) (*Schema, error) {
 	if len(ref) < RefMinLen {
 		return nil, routingErrf("engine: schemaRef %q is too short (want at least %d hex digits)", ref, RefMinLen)
 	}
 	want := strings.ToLower(ref)
-	sh, ok := r.shardFor(want)
-	if !ok {
-		return nil, routingErrf("engine: unknown schemaRef %q", ref)
-	}
-	sh.mu.Lock()
+	r.mu.Lock()
 	var found *entry
-	for el := sh.lru.Front(); el != nil; el = el.Next() {
+	for el := r.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		if !e.done.Load() || !strings.HasPrefix(e.ref, want) {
 			continue
 		}
 		if found != nil {
-			sh.mu.Unlock()
+			r.mu.Unlock()
 			return nil, routingErrf("engine: ambiguous schemaRef %q (matches several cached schemas)", ref)
 		}
 		found = e
 	}
 	if found != nil {
-		defer sh.mu.Unlock()
+		defer r.mu.Unlock()
 		if found.err != nil {
 			return nil, routingErrf("engine: schemaRef %q names a schema that failed to compile: %v", ref, found.err)
 		}
-		sh.hits++
+		r.hits++
 		found.hits++
-		found.touched = r.clock.Add(1)
-		sh.lru.MoveToFront(found.elem)
+		r.lru.MoveToFront(found.elem)
 		return found.schema, nil
 	}
-	sh.mu.Unlock()
-	return r.resurrectRef(sh, want, ref)
+	r.mu.Unlock()
+	return r.resurrectRef(want, ref)
 }
 
 // resurrectRef serves a ResolveRef miss from the disk tier: the unique blob
 // whose content address starts with the prefix is decoded and installed in
-// the shard, so a restarted process keeps honoring refs handed out by its
-// predecessor even though no source was ever re-sent.
-func (r *Registry) resurrectRef(sh *shard, want, orig string) (*Schema, error) {
+// the memory tier, so a restarted process keeps honoring refs handed out by
+// its predecessor even though no source was ever re-sent.
+func (r *Registry) resurrectRef(want, orig string) (*Schema, error) {
 	if r.disk == nil {
 		return nil, routingErrf("engine: unknown schemaRef %q", orig)
 	}
@@ -389,7 +314,7 @@ func (r *Registry) resurrectRef(sh *shard, want, orig string) (*Schema, error) {
 	}
 	env.schema.Ref = fullRef
 	r.diskLoads.Add(1)
-	e := sh.getOrAdd(env.key, fullRef, env.srcLen, r.clock.Add(1))
+	e := r.getOrAdd(env.key, fullRef, env.srcLen)
 	// If a racing Compile for the same key got to the once first, Do waits
 	// for it and that artifact wins; the one decoded here is dropped.
 	e.once.Do(func() {
@@ -416,12 +341,7 @@ func compile(kind SourceKind, src, root string, opts CompileOptions) (*Schema, e
 	if err != nil {
 		return nil, err
 	}
-	c, err := core.Compile(d, root, core.Options{
-		MaxDepth:             opts.MaxDepth,
-		IgnoreWhitespaceText: opts.IgnoreWhitespaceText,
-		AllowAnyRoot:         opts.AllowAnyRoot,
-		DisableFastPath:      opts.DisableFastPath,
-	})
+	c, err := core.Compile(d, root, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -432,30 +352,27 @@ func compile(kind SourceKind, src, root string, opts CompileOptions) (*Schema, e
 	return NewSchema(c, v), nil
 }
 
-// Stats returns an aggregate snapshot of the store's counters across all
-// shards (plus the disk tier's, when configured).
+// Stats returns a snapshot of the store's counters (plus the disk tier's,
+// when configured).
 func (r *Registry) Stats() RegistryStats {
 	st := RegistryStats{
-		Shards:       len(r.shards),
+		Capacity:     r.cap,
 		Compiles:     r.compiles.Load(),
 		DiskLoads:    r.diskLoads.Load(),
 		DiskDiscards: r.diskDiscards.Load(),
 	}
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		st.Size += sh.lru.Len()
-		st.Capacity += sh.cap
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.done.Load() && e.schema != nil { // schema is immutable once done
-				st.DFAStates += int64(e.schema.Core.FastPathStates())
-			}
+	r.mu.Lock()
+	st.Size = r.lru.Len()
+	st.Hits = r.hits
+	st.Misses = r.misses
+	st.Evictions = r.evictions
+	for el := r.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		if e.done.Load() && e.schema != nil { // schema is immutable once done
+			st.DFAStates += int64(e.schema.Core.FastPathStates())
 		}
-		sh.mu.Unlock()
 	}
+	r.mu.Unlock()
 	if r.disk != nil {
 		ds := r.disk.Stats()
 		st.Disk = &ds
@@ -463,15 +380,11 @@ func (r *Registry) Stats() RegistryStats {
 	return st
 }
 
-// Len returns the number of cached entries across all shards.
+// Len returns the number of cached entries.
 func (r *Registry) Len() int {
-	n := 0
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lru.Len()
 }
 
 // SchemaInfo describes one cached artifact for listings (GET /schemas).
@@ -487,50 +400,31 @@ type SchemaInfo struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// Schemas lists the cached entries, most recently used first (across all
-// shards, by touch order). Entries still compiling are listed with zero
-// detail fields.
+// Schemas lists the cached entries, most recently used first. Entries
+// still compiling are listed with zero detail fields.
 func (r *Registry) Schemas() []SchemaInfo {
-	type stamped struct {
-		info    SchemaInfo
-		touched int64
-	}
-	var all []stamped
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			info := SchemaInfo{
-				Hash:        hex.EncodeToString(e.key.hash[:8]),
-				Ref:         e.ref[:16],
-				Kind:        e.key.kind.String(),
-				Root:        e.key.root,
-				SourceBytes: e.srcLen,
-				Hits:        e.hits,
-			}
-			if e.done.Load() { // schema/err are immutable once done is set
-				if e.err != nil {
-					info.Error = e.err.Error()
-				} else if e.schema != nil {
-					info.Elements = len(e.schema.Core.DTD.Order)
-					info.Class = e.schema.Core.Class().String()
-				}
-			}
-			all = append(all, stamped{info: info, touched: e.touched})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]SchemaInfo, 0, r.lru.Len())
+	for el := r.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		info := SchemaInfo{
+			Hash:        hex.EncodeToString(e.key.hash[:8]),
+			Ref:         e.ref[:16],
+			Kind:        e.key.kind.String(),
+			Root:        e.key.root,
+			SourceBytes: e.srcLen,
+			Hits:        e.hits,
 		}
-		sh.mu.Unlock()
-	}
-	// Insertion sort by descending touch stamp: listings are small (LRU
-	// bounded) and this keeps the MRU-first contract of the single-mutex
-	// registry.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j-1].touched < all[j].touched; j-- {
-			all[j-1], all[j] = all[j], all[j-1]
+		if e.done.Load() { // schema/err are immutable once done is set
+			if e.err != nil {
+				info.Error = e.err.Error()
+			} else if e.schema != nil {
+				info.Elements = len(e.schema.Core.DTD.Order)
+				info.Class = e.schema.Core.Class().String()
+			}
 		}
-	}
-	out := make([]SchemaInfo, len(all))
-	for i, s := range all {
-		out[i] = s.info
+		out = append(out, info)
 	}
 	return out
 }

@@ -41,7 +41,7 @@ func TestDiskTierWarmStart(t *testing.T) {
 		{dtd.TEILite, "TEI", CompileOptions{}},
 	}
 
-	e1, err := Open(Config{Workers: 2, CacheDir: dir, Shards: 4, VolatileJobs: true})
+	e1, err := Open(Config{Workers: 2, CacheDir: dir, VolatileJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDiskTierWarmStart(t *testing.T) {
 	}
 
 	// Second start, warm directory: every Compile must rehydrate.
-	e2, err := Open(Config{Workers: 2, CacheDir: dir, Shards: 4, VolatileJobs: true})
+	e2, err := Open(Config{Workers: 2, CacheDir: dir, VolatileJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDiskTierWarmStart(t *testing.T) {
 	}
 
 	// Third start: resolve a ref with no source ever submitted.
-	e3, err := Open(Config{Workers: 2, CacheDir: dir, Shards: 4, VolatileJobs: true})
+	e3, err := Open(Config{Workers: 2, CacheDir: dir, VolatileJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,10 @@ func TestDiskTierStaleVersionRecompiles(t *testing.T) {
 	}
 }
 
-// TestShardedResolveRefShardLocal compiles a population of schemas across
-// many shards and resolves every one by its minimum-length prefix — the
-// shard selector and the prefix scan must agree for every ref.
-func TestShardedResolveRefShardLocal(t *testing.T) {
-	r := NewShardedRegistry(64, 8, nil)
+// TestRegistryResolveRefMinPrefix compiles a population of schemas and
+// resolves every one by its minimum-length prefix.
+func TestRegistryResolveRefMinPrefix(t *testing.T) {
+	r := NewRegistry(64)
 	for i := 0; i < 24; i++ {
 		s, err := r.Compile(DTDSource, dtd.Figure1, "r", CompileOptions{MaxDepth: i + 1})
 		if err != nil {
@@ -282,20 +281,19 @@ func TestShardedResolveRefShardLocal(t *testing.T) {
 	if _, err := r.ResolveRef("zzzzzzzz"); !IsRoutingError(err) {
 		t.Errorf("non-hex ref must be a routing error")
 	}
-	if st := r.Stats(); st.Shards != 8 || st.Size != 24 {
+	if st := r.Stats(); st.Size != 24 {
 		t.Errorf("stats = %+v", st)
 	}
 }
 
 // storeScript drives one deterministic op mix against a registry, either
 // from 8 concurrent goroutines or sequentially from one. The op totals are
-// order-independent by construction: the hot phase never exceeds any
-// shard's capacity (12 hot keys vs a per-shard cap of 12, so no eviction
-// can disturb the hit counts), a barrier separates it from the cold phase,
-// and each cold (evicting) key is compiled exactly once by exactly one
-// goroutine — per-shard insert and eviction totals are then independent of
-// interleaving, so the concurrent run must land on exactly the sequential
-// run's counters.
+// order-independent by construction: the hot phase never exceeds the
+// capacity (12 hot keys, so no eviction can disturb the hit counts), a
+// barrier separates it from the cold phase, and each cold (evicting) key is
+// compiled exactly once by exactly one goroutine — insert and eviction
+// totals are then independent of interleaving, so the concurrent run must
+// land on exactly the sequential run's counters.
 func storeScript(r *Registry, parallel bool) {
 	const (
 		goroutines = 8
@@ -347,19 +345,18 @@ func storeScript(r *Registry, parallel bool) {
 	each(cold) // barrier above: evictions only start once the hot phase is done
 }
 
-// TestShardedStoreConcurrentExactStats hammers the sharded store with
-// parallel Compile/ResolveRef/evict traffic from 8 goroutines (run under
-// -race in CI) and pins hits, misses, evictions and compiles to the exact
-// totals of an identical sequential replay — compile-once, per-shard LRU
-// accounting and ref resolution must all be deterministic under
-// concurrency.
-func TestShardedStoreConcurrentExactStats(t *testing.T) {
-	// A per-shard cap of 12 means the 12-key hot phase can never evict (no
-	// matter how the refs hash), while the 52 total keys guarantee at least
-	// one shard overflows during the cold phase (pigeonhole: 52/4 > 12).
-	const capacity, shards = 48, 4
-	concurrent := NewShardedRegistry(capacity, shards, nil)
-	sequential := NewShardedRegistry(capacity, shards, nil)
+// TestRegistryConcurrentExactStats hammers the store with parallel
+// Compile/ResolveRef/evict traffic from 8 goroutines (run under -race in
+// CI) and pins hits, misses, evictions and compiles to the exact totals of
+// an identical sequential replay — compile-once, LRU accounting and ref
+// resolution must all be deterministic under concurrency.
+func TestRegistryConcurrentExactStats(t *testing.T) {
+	// 48 slots hold the 12 hot keys with room to spare, so the hot phase
+	// never evicts; the cold phase brings the total to 52 distinct keys,
+	// so exactly 4 are evicted.
+	const capacity = 48
+	concurrent := NewRegistry(capacity)
+	sequential := NewRegistry(capacity)
 	storeScript(concurrent, true)
 	storeScript(sequential, false)
 
@@ -375,7 +372,71 @@ func TestShardedStoreConcurrentExactStats(t *testing.T) {
 	if want.Misses != 12+40 || want.Hits != hotOps-12+hotOps || want.Compiles != 12+40 {
 		t.Fatalf("sequential replay totals unexpected: %+v", want)
 	}
-	if want.Evictions == 0 || want.Evictions != want.Misses-int64(want.Size) {
-		t.Fatalf("evictions not exercised or identity violated: %+v", want)
+	if want.Evictions != 52-capacity || want.Size != capacity {
+		t.Fatalf("evictions = %d, size = %d, want %d and %d: %+v", want.Evictions, want.Size, 52-capacity, capacity, want)
+	}
+}
+
+// TestSchemaRefsStable pins refs byte for byte. A ref is persisted in disk
+// blobs, WAL payloads and receipt leaves, and clients keep the ones GET
+// /schemas hands out, so any change to how the key is digested (the
+// options' field names, their order, their formatting) breaks all of them.
+func TestSchemaRefsStable(t *testing.T) {
+	for _, tc := range []struct {
+		opts CompileOptions
+		ref  string
+	}{
+		{CompileOptions{}, "ddfea6f2a19472615f58543c9bc435396356a5988b9552c3bb7c99898d3e4ba2"},
+		{CompileOptions{MaxDepth: 5, IgnoreWhitespaceText: true}, "aeeb75d5db27a6151e21e3a236cc910a17867eb25ba81456b94a43e2f0552da9"},
+		{CompileOptions{AllowAnyRoot: true, DisableFastPath: true}, "39ad3dc190d96579e67e337e320c8596d0f7cfc9b67877ef4676b47b6a4bb4f3"},
+	} {
+		s, err := NewRegistry(8).Compile(DTDSource, dtd.Figure1, "r", tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Ref != tc.ref {
+			t.Errorf("ref of Figure 1 under %+v = %s, want %s", tc.opts, s.Ref, tc.ref)
+		}
+	}
+}
+
+// TestRegistryCapacityIsGlobal pins that the store holds exactly its
+// configured capacity: 64 distinct schemas fit the default 64 slots with
+// no eviction, whatever their refs hash to.
+func TestRegistryCapacityIsGlobal(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Close()
+	for i := 1; i <= DefaultCapacity; i++ {
+		if _, err := e.Compile(DTDSource, dtd.Figure1, "r", CompileOptions{MaxDepth: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Store().Stats(); st.Size != DefaultCapacity || st.Evictions != 0 {
+		t.Fatalf("%d distinct schemas in a %d-slot store: size %d, evictions %d", DefaultCapacity, st.Capacity, st.Size, st.Evictions)
+	}
+}
+
+// TestResolveRefMalformedNeverTouchesDisk pins that a ref which is not a
+// hex prefix is a routing error on a disk-backed engine, refused before
+// the disk tier performs any lookup: its hit, miss and error counters do
+// not move.
+func TestResolveRefMalformedNeverTouchesDisk(t *testing.T) {
+	e, err := Open(Config{Workers: 1, CacheDir: t.TempDir(), VolatileJobs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Compile(DTDSource, dtd.Play, "play", CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := *e.Store().Stats().Disk
+	for _, ref := range []string{"ZZZZZZZZ", "../../etc/passwd", "abcdefg!"} {
+		if _, err := e.Store().ResolveRef(ref); !IsRoutingError(err) {
+			t.Errorf("ResolveRef(%q) = %v, want a routing error", ref, err)
+		}
+	}
+	after := *e.Store().Stats().Disk
+	if after.Hits != before.Hits || after.Misses != before.Misses || after.Errors != before.Errors {
+		t.Errorf("malformed refs reached the disk tier: before %+v, after %+v", before, after)
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // TestEngineTwoTierDifferential pins that the DFA fast path is invisible
-// in engine verdicts: a fast engine and a DisableFastPath engine, each on
-// its batch and its reader path, produce identical PotentiallyValid, Valid
-// and Detail for 1000+ generated documents (valid, stripped, corrupted,
-// half of them decorated) across the fixture and random DTDs, plus the
+// in engine verdicts: a fast engine and an engine compiling every schema
+// with the DisableFastPath option, each on its batch and its reader path,
+// produce identical PotentiallyValid, Valid and Detail for 1000+
+// generated documents (valid, stripped, corrupted, half of them
+// decorated) across the fixture and random DTDs, plus the
 // validity bit's corner cases (whitespace inside EMPTY elements,
 // AllowAnyRoot with a non-schema root); every path equals the sequential
 // tree path's verdict.
@@ -24,7 +25,7 @@ func TestEngineTwoTierDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	slow, err := Open(Config{Workers: 4, VolatileJobs: true, DisableFastPath: true})
+	slow, err := Open(Config{Workers: 4, VolatileJobs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,9 @@ func TestEngineTwoTierDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := slow.Compile(DTDSource, w.src, w.root, w.opts)
+		slowOpts := w.opts
+		slowOpts.DisableFastPath = true
+		ss, err := slow.Compile(DTDSource, w.src, w.root, slowOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

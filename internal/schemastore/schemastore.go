@@ -1,7 +1,7 @@
 // Package schemastore is the disk tier of the two-tier compiled-schema
 // store: a content-addressed cache of compiled-schema blobs keyed by the
 // registry's full-key digest (the same hex reference documents use for
-// schemaRef routing). The engine's in-memory sharded registry is tier 1;
+// schemaRef routing). The engine's in-memory registry is tier 1;
 // this package persists the compiled artifacts so a process restart — or a
 // registry eviction — rehydrates a schema at deserialization speed instead
 // of recompiling it from DTD source.
@@ -142,7 +142,9 @@ func (c *Cache) Get(ref string) ([]byte, error) {
 // FindByPrefix resolves a ref prefix (>=8 hex digits, so the fanout
 // directory is determined) to the unique stored blob whose ref starts with
 // it. It returns the full ref alongside the blob; ErrNotFound when nothing
-// matches, ErrAmbiguous when several do.
+// matches, ErrAmbiguous when several do. Any other prefix (too short, not
+// lowercase hex) is refused before any filesystem call, so it cannot
+// name a path outside the cache.
 func (c *Cache) FindByPrefix(prefix string) (string, []byte, error) {
 	if !validRef(prefix) {
 		return "", nil, fmt.Errorf("schemastore: malformed ref prefix %q", prefix)

@@ -54,25 +54,21 @@ import (
 	"repro/internal/xsd"
 )
 
-// Options configures schema compilation.
-type Options struct {
-	// MaxDepth bounds the depth of hypothetical extension documents
-	// considered when the DTD is PV-strong recursive (Section 4.3.1 of the
-	// paper). Zero selects the default (16). Irrelevant for non-PV-strong
-	// DTDs, where the checker is complete.
-	MaxDepth int
-	// IgnoreWhitespaceText makes whitespace-only text nodes invisible to
-	// the potential-validity checker — convenient for pretty-printed
-	// documents. Document-centric editing normally wants false.
-	IgnoreWhitespaceText bool
-	// AllowAnyRoot accepts any declared element as document root.
-	AllowAnyRoot bool
-	// DisableFastPath skips compiling the per-element content-model DFA
-	// tables, so streaming checks run on the PV recognizer alone. Verdicts
-	// are identical either way; the knob exists for apples-to-apples
-	// benchmarking and as an operational escape hatch.
-	DisableFastPath bool
-}
+// Options configures schema compilation. Its fields:
+//
+//   - MaxDepth bounds the depth of hypothetical extension documents
+//     considered when the DTD is PV-strong recursive (Section 4.3.1 of the
+//     paper). Zero selects the default (16).
+//   - IgnoreWhitespaceText makes whitespace-only text nodes invisible to
+//     the checker, which suits pretty-printed documents. Document-centric
+//     editing normally wants false.
+//   - AllowAnyRoot accepts any declared element as document root.
+//   - DisableFastPath skips the content-model DFA tables, so every check
+//     runs on the PV recognizer. Verdicts are identical; it exists for
+//     benchmarking and as an escape hatch.
+//
+// An Engine keys its schema store on all four.
+type Options = core.Options
 
 // Class is the paper's DTD classification (Definitions 6-8).
 type Class = reach.Class
@@ -85,13 +81,9 @@ const (
 )
 
 // Schema is a DTD compiled for potential-validity checking and validation.
-type Schema struct {
-	dtd   *dtd.DTD
-	root  string
-	core  *core.Schema
-	valid *validator.Validator
-	eng   *engine.Schema
-}
+// It wraps the engine artifact, which carries the compiled core schema, the
+// validator and the checker and completer pools.
+type Schema struct{ eng *engine.Schema }
 
 // completer fetches a pooled completer from the engine artifact (every
 // Schema carries one); return it with putCompleter. Completers memoize
@@ -131,12 +123,7 @@ func (d *DTD) Lint() []string { return d.d.Validate() }
 
 // Compile prepares the DTD for checking against the given root element.
 func (d *DTD) Compile(root string, opts Options) (*Schema, error) {
-	c, err := core.Compile(d.d, root, core.Options{
-		MaxDepth:             opts.MaxDepth,
-		IgnoreWhitespaceText: opts.IgnoreWhitespaceText,
-		AllowAnyRoot:         opts.AllowAnyRoot,
-		DisableFastPath:      opts.DisableFastPath,
-	})
+	c, err := core.Compile(d.d, root, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +131,7 @@ func (d *DTD) Compile(root string, opts Options) (*Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Schema{dtd: d.d, root: root, core: c, valid: v, eng: engine.NewSchema(c, v)}, nil
+	return &Schema{eng: engine.NewSchema(c, v)}, nil
 }
 
 // ParseXSD imports a W3C XML Schema (XSD) document, supported subset per
@@ -197,10 +184,10 @@ func MustCompileDTD(src, root string, opts Options) *Schema {
 }
 
 // Root returns the designated root element.
-func (s *Schema) Root() string { return s.root }
+func (s *Schema) Root() string { return s.eng.Core.Root }
 
 // Class returns the DTD's recursion classification.
-func (s *Schema) Class() Class { return s.core.Class() }
+func (s *Schema) Class() Class { return s.eng.Core.Class() }
 
 // Result is the outcome of a potential-validity check.
 type Result struct {
@@ -223,12 +210,12 @@ func (s *Schema) CheckDocument(doc *Document) Result { return s.checkRoot(doc.ro
 
 func (s *Schema) checkRoot(root *dom.Node) Result {
 	res := Result{}
-	if v := s.core.CheckDocument(root); v == nil {
+	if v := s.eng.Core.CheckDocument(root); v == nil {
 		res.PotentiallyValid = true
 	} else {
 		res.Detail = v.Reason
 	}
-	if res.PotentiallyValid && s.valid.Validate(root) == nil {
+	if res.PotentiallyValid && s.eng.Valid.Validate(root) == nil {
 		res.Valid = true
 	}
 	return res
@@ -254,7 +241,7 @@ func (s *Schema) CheckStream(xml string) error { return s.CheckStreamBytes(xmlte
 // interned-name table, and an entity-free document is checked with no
 // per-token allocation. The fastest way to check an mmap'd or pooled
 // buffer.
-func (s *Schema) CheckStreamBytes(xml []byte) error { return s.core.CheckStreamBytes(xml) }
+func (s *Schema) CheckStreamBytes(xml []byte) error { return s.eng.Core.CheckStreamBytes(xml) }
 
 // CheckReader is CheckStream over an io.Reader: the document is lexed
 // through a fixed sliding window and never held in memory, so peak usage is
@@ -263,18 +250,13 @@ func (s *Schema) CheckStreamBytes(xml []byte) error { return s.core.CheckStreamB
 // same bytes. It returns nil when the document is potentially valid; the
 // error otherwise explains the violation, well-formedness failure or read
 // problem.
-func (s *Schema) CheckReader(r io.Reader) error { return s.core.CheckReader(r) }
+func (s *Schema) CheckReader(r io.Reader) error { return s.eng.Core.CheckReader(r) }
 
 // Ref returns the schema's registry reference (a hex digest of source,
 // kind, root and options) when the schema was compiled through an Engine,
 // and "" otherwise. Documents in a mixed batch select their schema by this
 // reference (any prefix of at least 8 hex digits).
-func (s *Schema) Ref() string {
-	if s.eng != nil {
-		return s.eng.Ref
-	}
-	return ""
-}
+func (s *Schema) Ref() string { return s.eng.Ref }
 
 // FileChecker checks files one at a time through the byte path, reusing
 // one read buffer (and one pooled streaming checker) across calls — file
@@ -287,7 +269,7 @@ type FileChecker struct {
 
 // NewFileChecker returns a reusable file checker for the schema.
 func (s *Schema) NewFileChecker() *FileChecker {
-	return &FileChecker{c: s.core.NewStreamChecker()}
+	return &FileChecker{c: s.eng.Core.NewStreamChecker()}
 }
 
 // read loads path into the checker's buffer, growing it only when a file
@@ -342,24 +324,24 @@ func (fc *FileChecker) CheckStream(path string) error {
 
 // Validate runs standard (full) DTD validation: the check for finished
 // encodings. It returns nil when the document is valid.
-func (s *Schema) Validate(doc *Document) error { return s.valid.Validate(doc.root) }
+func (s *Schema) Validate(doc *Document) error { return s.eng.Valid.Validate(doc.root) }
 
 // ValidateString parses and fully validates an XML string.
-func (s *Schema) ValidateString(xml string) error { return s.valid.ValidateString(xml) }
+func (s *Schema) ValidateString(xml string) error { return s.eng.Valid.ValidateString(xml) }
 
 // CanInsertText reports whether a new text node may be created under the
 // named element in a potentially valid document — the O(1) check of
 // Proposition 3.
 func (s *Schema) CanInsertText(element string) bool {
-	return s.core.LT.Has(element) && s.core.LT.ReachesPCDATA(element)
+	return s.eng.Core.LT.Has(element) && s.eng.Core.LT.ReachesPCDATA(element)
 }
 
 // Reachable reports whether element "to" may occur (at any depth) inside
 // element "from" — the reachability lookup of Definition 5.
-func (s *Schema) Reachable(from, to string) bool { return s.core.LT.Reachable(from, to) }
+func (s *Schema) Reachable(from, to string) bool { return s.eng.Core.LT.Reachable(from, to) }
 
 // ElementClass returns the recursion classification of one element.
-func (s *Schema) ElementClass(name string) Class { return s.core.LT.ElementClass(name) }
+func (s *Schema) ElementClass(name string) Class { return s.eng.Core.LT.ElementClass(name) }
 
 // Complete synthesizes a valid extension of a potentially valid document —
 // the constructive counterpart of Definition 3 (and of the paper's
@@ -432,7 +414,7 @@ func (s *Schema) CompleteBytes(xml []byte) ([]byte, *Diff, error) {
 // Info summarizes the compiled schema for display.
 func (s *Schema) Info() string {
 	return fmt.Sprintf("root <%s>, %d elements, k=%d, class %s, depth bound %d",
-		s.root, len(s.dtd.Order), s.dtd.Size(), s.Class(), s.core.EffectiveDepth())
+		s.Root(), len(s.eng.Core.DTD.Order), s.eng.Core.DTD.Size(), s.Class(), s.eng.Core.EffectiveDepth())
 }
 
 // Engine is the concurrent checking front end: a schema registry that
@@ -444,18 +426,13 @@ func (s *Schema) Info() string {
 type Engine struct{ e *engine.Engine }
 
 // EngineConfig parameterizes NewEngine. The zero value is a good default:
-// GOMAXPROCS workers, a 64-schema cache striped over 8 shards, no disk
-// cache.
+// GOMAXPROCS workers, a 64-schema cache, no disk cache.
 type EngineConfig struct {
 	// Workers bounds batch concurrency; <=0 selects GOMAXPROCS.
 	Workers int
-	// SchemaCacheSize bounds the compiled-schema store's total in-memory
-	// capacity; <=0 selects 64.
+	// SchemaCacheSize bounds the compiled-schema store's in-memory
+	// capacity in schemas; <=0 selects 64.
 	SchemaCacheSize int
-	// SchemaCacheShards is the store's lock-stripe count; <=0 selects 8.
-	// Concurrent compilation and ref-routing traffic contends per shard,
-	// not on one mutex.
-	SchemaCacheShards int
 	// SchemaCacheDir enables the disk tier: compiled schemas persist as
 	// content-addressed blobs under this directory, so later engines (and
 	// process restarts) rehydrate them instead of recompiling. Empty
@@ -465,9 +442,6 @@ type EngineConfig struct {
 	// (/check/stream, /complete/stream); <=0 keeps the 64MB default. The
 	// /check/raw route and CheckReader are never capped.
 	MaxDocBytes int
-	// StreamBufBytes is the sliding-window size of the bounded-memory
-	// reader path (CheckReader, /check/raw); <=0 selects the 256KB default.
-	StreamBufBytes int
 	// JobWorkers bounds how many async jobs (SubmitBatch /
 	// SubmitCompleteBatch) execute concurrently; each job's chunks still
 	// share the engine-wide Workers bound. <=0 selects 2.
@@ -529,17 +503,15 @@ func NewEngine(cfg EngineConfig) *Engine {
 // directory that cannot be created or opened as an error.
 func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	e, err := engine.Open(engine.Config{
-		Workers:        cfg.Workers,
-		CacheSize:      cfg.SchemaCacheSize,
-		Shards:         cfg.SchemaCacheShards,
-		CacheDir:       cfg.SchemaCacheDir,
-		MaxDocBytes:    cfg.MaxDocBytes,
-		StreamBufBytes: cfg.StreamBufBytes,
-		JobWorkers:     cfg.JobWorkers,
-		JobQueueDepth:  cfg.JobQueueDepth,
-		JobResultTTL:   cfg.JobResultTTL,
-		VolatileJobs:   cfg.VolatileJobs,
-		JobWALNoSync:   cfg.JobWALNoSync,
+		Workers:       cfg.Workers,
+		CacheSize:     cfg.SchemaCacheSize,
+		CacheDir:      cfg.SchemaCacheDir,
+		MaxDocBytes:   cfg.MaxDocBytes,
+		JobWorkers:    cfg.JobWorkers,
+		JobQueueDepth: cfg.JobQueueDepth,
+		JobResultTTL:  cfg.JobResultTTL,
+		VolatileJobs:  cfg.VolatileJobs,
+		JobWALNoSync:  cfg.JobWALNoSync,
 	})
 	if err != nil {
 		return nil, err
@@ -547,28 +519,16 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	return &Engine{e: e}, nil
 }
 
-// engineOptions converts public Options to the registry's key options.
-func engineOptions(opts Options) engine.CompileOptions {
-	return engine.CompileOptions{
-		MaxDepth:             opts.MaxDepth,
-		IgnoreWhitespaceText: opts.IgnoreWhitespaceText,
-		AllowAnyRoot:         opts.AllowAnyRoot,
-		DisableFastPath:      opts.DisableFastPath,
-	}
-}
-
 // wrapEngineSchema rebuilds the thin public wrapper around a cached
 // artifact; the heavy state (core, validator, checker and completer
 // pools) is shared.
-func wrapEngineSchema(es *engine.Schema) *Schema {
-	return &Schema{dtd: es.Core.DTD, root: es.Core.Root, core: es.Core, valid: es.Valid, eng: es}
-}
+func wrapEngineSchema(es *engine.Schema) *Schema { return &Schema{eng: es} }
 
 // CompileDTD resolves a DTD through the engine's registry: the first call
 // for a given (source, root, options) compiles, subsequent calls hit the
 // cache.
 func (e *Engine) CompileDTD(src, root string, opts Options) (*Schema, error) {
-	es, err := e.e.Compile(engine.DTDSource, src, root, engineOptions(opts))
+	es, err := e.e.Compile(engine.DTDSource, src, root, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -577,7 +537,7 @@ func (e *Engine) CompileDTD(src, root string, opts Options) (*Schema, error) {
 
 // CompileXSD is CompileDTD for the supported XML Schema subset.
 func (e *Engine) CompileXSD(src, root string, opts Options) (*Schema, error) {
-	es, err := e.e.Compile(engine.XSDSource, src, root, engineOptions(opts))
+	es, err := e.e.Compile(engine.XSDSource, src, root, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -729,7 +689,7 @@ func (e *Engine) Shutdown(ctx context.Context) error { return e.e.Shutdown(ctx) 
 // Stats returns the engine's lifetime counters.
 func (e *Engine) Stats() EngineStats { return e.e.Stats() }
 
-// CacheStats returns the schema store's counters (shard aggregates plus
+// CacheStats returns the schema store's counters (the memory tier plus
 // disk-tier activity when a cache directory is configured).
 func (e *Engine) CacheStats() RegistryStats { return e.e.Store().Stats() }
 
