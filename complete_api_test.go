@@ -230,3 +230,52 @@ func TestCompleteBytesPreservesProlog(t *testing.T) {
 		t.Errorf("diff: %+v", d)
 	}
 }
+
+// TestCompleteValidInputIsIdentity pins the completion identity on valid
+// documents under ambiguous content models, where the completion DP can
+// place an insertion although none is needed, and on a valid document
+// whose whitespace in element content the potential-validity check reads
+// as character data: every entry point returns the input unchanged, with
+// zero insertions.
+func TestCompleteValidInputIsIdentity(t *testing.T) {
+	eng := NewEngine(EngineConfig{Workers: 2})
+	for _, tc := range []struct{ name, dtd, root, xml string }{
+		{"optional-then-required",
+			`<!ELEMENT e0 (e6?, e6, e4*)> <!ELEMENT e4 (#PCDATA)> <!ELEMENT e6 (#PCDATA)>`, "e0",
+			`<e0><e6>quarto</e6><e4>quarto</e4></e0>`},
+		{"star-then-choice",
+			`<!ELEMENT e0 (e5*, (e0 | e5))> <!ELEMENT e5 EMPTY>`, "e0",
+			`<e0><e5></e5></e0>`},
+		{"nested-choice",
+			`<!ELEMENT e0 (e5?, e4?, (e0 | e5))> <!ELEMENT e4 (#PCDATA)> <!ELEMENT e5 EMPTY>`, "e0",
+			`<e0><e5></e5><e0><e5></e5></e0></e0>`},
+		{"whitespace-in-element-content", Figure1DTD, "r",
+			`<r><a><b><d>x</d> </b><c>y</c><d></d></a></r>`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			schema, err := eng.CompileDTD(tc.dtd, tc.root, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := schema.ValidateString(tc.xml); err != nil {
+				t.Fatalf("test input must be valid: %v", err)
+			}
+			ext, inserted, err := schema.Complete(MustParseDocument(tc.xml))
+			if err != nil || inserted != 0 || ext.String() != tc.xml {
+				t.Errorf("Complete: %d insertions, %v: %s", inserted, err, ext)
+			}
+			ext, d, err := schema.CompleteDiff(MustParseDocument(tc.xml))
+			if err != nil || d.Inserted != 0 || ext.String() != tc.xml {
+				t.Errorf("CompleteDiff: %+v, %v: %s", d, err, ext)
+			}
+			out, d, err := schema.CompleteBytes([]byte(tc.xml))
+			if err != nil || d.Inserted != 0 || string(out) != tc.xml {
+				t.Errorf("CompleteBytes: %+v, %v: %s", d, err, out)
+			}
+			results, _ := eng.CompleteBatch(schema, []Doc{{ID: tc.name, Content: tc.xml}}, true)
+			if r := results[0]; !r.Completed || !r.AlreadyValid || r.Inserted != 0 || r.Output != tc.xml {
+				t.Errorf("CompleteBatch: %+v", r)
+			}
+		})
+	}
+}

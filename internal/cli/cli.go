@@ -27,8 +27,7 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 	dtdPath := fs.String("dtd", "", "path to the DTD file (this or -xsd required)")
 	xsdPath := fs.String("xsd", "", "path to an XML Schema file (subset; alternative to -dtd)")
 	root := fs.String("root", "", "root element (required)")
-	stream := fs.Bool("stream", false, "use the single-pass streaming checker")
-	streamAt := fs.Int64("stream-at", 64<<20, "stream files at least this many bytes large through the bounded-memory checker even without -stream (<0 never)")
+	streamAt := fs.Int64("stream-at", 64<<20, "stream files at least this many bytes large through the bounded-memory checker (0 always, <0 never)")
 	completeFlag := fs.Bool("complete", false, "print a synthesized valid extension for potentially valid documents")
 	ws := fs.Bool("ws", false, "ignore whitespace-only text nodes")
 	anyRoot := fs.Bool("anyroot", false, "accept any declared element as document root")
@@ -73,13 +72,13 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 	eng := pv.NewEngine(pv.EngineConfig{Workers: 1})
 	defer eng.Close()
 	for _, path := range fs.Args() {
-		// -stream (or any file past the -stream-at threshold) takes the
-		// bounded-memory reader path: the document is checked straight off
-		// the file in O(depth + window) memory, never loaded whole — the
-		// only way through for documents larger than RAM. The verdict is
-		// the same as for a loaded file.
-		streamed := *stream || streamSized(path, *streamAt)
-		var src string
+		// A file past the -stream-at threshold takes the bounded-memory
+		// reader path: the document is checked straight off the file in
+		// O(depth + window) memory, never loaded whole — the only way
+		// through for documents larger than RAM. The verdict is the same
+		// as for a loaded file.
+		streamed := streamSized(path, *streamAt)
+		var data []byte
 		var res pv.Result
 		var err error
 		if streamed {
@@ -92,13 +91,9 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 					err = fmt.Errorf("%s: %w", path, r.Err)
 				}
 			}
-		} else {
-			var data []byte
-			if data, err = os.ReadFile(path); err == nil {
-				src = string(data)
-				if res, err = schema.CheckString(src); err != nil {
-					err = fmt.Errorf("%s: %w", path, err)
-				}
+		} else if data, err = os.ReadFile(path); err == nil {
+			if res, err = schema.CheckBytes(data); err != nil {
+				err = fmt.Errorf("%s: %w", path, err)
 			}
 		}
 		if err != nil {
@@ -112,7 +107,7 @@ func PVCheck(args []string, stdout, stderr io.Writer) int {
 		case res.PotentiallyValid:
 			fmt.Fprintf(stdout, "%s: potentially valid (encoding incomplete)\n", path)
 			if *completeFlag && !streamed {
-				doc, err := pv.ParseDocument(src)
+				doc, err := pv.ParseDocument(string(data))
 				if err == nil {
 					if ext, inserted, err := schema.Complete(doc); err == nil {
 						fmt.Fprintf(stdout, "%s: completion (+%d elements): %s\n", path, inserted, ext)

@@ -67,7 +67,7 @@ func TestPVCheckComplete(t *testing.T) {
 func TestPVCheckStream(t *testing.T) {
 	dtdPath, wPath, sPath := writeFixtures(t)
 	var out, errOut strings.Builder
-	code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream", wPath, sPath}, &out, &errOut)
+	code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream-at", "0", wPath, sPath}, &out, &errOut)
 	if code != 1 {
 		t.Errorf("exit = %d, want 1", code)
 	}
@@ -102,7 +102,7 @@ func TestPVCheckStreamAt(t *testing.T) {
 	os.WriteFile(bad, []byte(`<r><a></r>`), 0o644)
 	out.Reset()
 	errOut.Reset()
-	if code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream", ext, bad}, &out, &errOut); code != 2 {
+	if code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream-at", "0", ext, bad}, &out, &errOut); code != 2 {
 		t.Errorf("exit = %d, want 2 (bad.xml is malformed)", code)
 	}
 	if !strings.Contains(out.String(), "ext.xml: valid") || !strings.Contains(errOut.String(), "bad.xml: ") {
@@ -117,6 +117,23 @@ func TestPVCheckStreamAt(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "s.xml: potentially valid (encoding incomplete)") {
 		t.Errorf("non-streamed verdict:\n%s", out.String())
+	}
+}
+
+// TestPVCheckViolationBeforeMalformed pins the exit code of a file that is
+// not potentially valid before it turns out malformed: loaded or streamed,
+// the check stops at the violation, so the file reads as not potentially
+// valid (exit 1) rather than malformed (exit 2).
+func TestPVCheckViolationBeforeMalformed(t *testing.T) {
+	dtdPath, _, _ := writeFixtures(t)
+	bad := filepath.Join(t.TempDir(), "bad.xml")
+	os.WriteFile(bad, []byte(`<r><zzz></zzz>`), 0o644)
+	for _, streamAt := range []string{"-1", "0"} {
+		var out, errOut strings.Builder
+		code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream-at", streamAt, bad}, &out, &errOut)
+		if code != 1 || !strings.Contains(out.String(), "bad.xml: NOT potentially valid") {
+			t.Errorf("-stream-at %s: exit=%d\nstdout:\n%s\nstderr:\n%s", streamAt, code, out.String(), errOut.String())
+		}
 	}
 }
 
@@ -142,6 +159,11 @@ func TestPVCheckUsageErrors(t *testing.T) {
 	}
 	if code := PVCheck([]string{"-dtd", "/nonexistent.dtd", "-root", "r", "doc"}, &out, &errOut); code != 2 {
 		t.Errorf("missing dtd: exit = %d, want 2", code)
+	}
+	// -stream is gone: -stream-at 0 streams every file.
+	dtdPath, _, sPath := writeFixtures(t)
+	if code := PVCheck([]string{"-dtd", dtdPath, "-root", "r", "-stream", sPath}, &out, &errOut); code != 2 {
+		t.Errorf("-stream: exit = %d, want 2", code)
 	}
 }
 

@@ -34,7 +34,8 @@ import (
 // memoizes per-schema state and reuses scratch across calls, so one
 // Completer must not be used by two goroutines at once.
 type Completer struct {
-	schema *core.Schema
+	schema  *core.Schema
+	checker *core.StreamChecker // gates each completion (CompleteInPlace)
 	// ids interns every element name the DTD declares or a content model
 	// mentions; id 0 stands for character data (a text item, or a #PCDATA
 	// position).
@@ -109,6 +110,7 @@ type sweepScratch struct {
 func New(schema *core.Schema) *Completer {
 	c := &Completer{
 		schema:  schema,
+		checker: schema.NewStreamChecker(),
 		ids:     map[string]int32{},
 		elems:   []elemInfo{{}},
 		minimal: map[string]*dom.Node{},
@@ -244,7 +246,7 @@ func (c *Completer) Complete(root *dom.Node) (*dom.Node, int, error) {
 // just their count — the input for diff computation (internal/diff).
 func (c *Completer) CompleteTracked(root *dom.Node) (*dom.Node, []*dom.Node, error) {
 	out := root.Clone()
-	nodes, err := c.CompleteInPlace(out)
+	nodes, _, err := c.CompleteInPlace(out)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -253,17 +255,29 @@ func (c *Completer) CompleteTracked(root *dom.Node) (*dom.Node, []*dom.Node, err
 
 // CompleteInPlace is CompleteTracked for a caller that owns root and keeps
 // only the result: root itself becomes the valid extension, with no
-// clone. It returns the inserted element nodes in creation order. On an
-// error root may be partly rewritten and should be dropped.
-func (c *Completer) CompleteInPlace(root *dom.Node) ([]*dom.Node, error) {
-	if v := c.schema.CheckDocument(root); v != nil {
-		return nil, &core.ViolationError{Reason: fmt.Sprintf("complete: document is not potentially valid: %v", v)}
+// clone. It returns the inserted element nodes in creation order and
+// whether root was already valid (ValidTree included), in which case the
+// DP does not run; zero insertions alone do not say that (AllowAnyRoot
+// admits a non-schema root). On an error root may be partly rewritten and
+// should be dropped.
+func (c *Completer) CompleteInPlace(root *dom.Node) ([]*dom.Node, bool, error) {
+	if err := c.checker.RunTree(root); err != nil {
+		if !core.IsViolation(err) {
+			return nil, false, err
+		}
+		if c.checker.ValidTree(root) {
+			return nil, true, nil
+		}
+		return nil, false, &core.ViolationError{Reason: "complete: document is not potentially valid: " + err.Error()}
+	}
+	if c.checker.StrictlyValid() {
+		return nil, true, nil
 	}
 	log := &insLog{}
 	if err := c.completeNode(root, c.depth, log); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return log.nodes, nil
+	return log.nodes, false, nil
 }
 
 // completeNode rewrites n's children into a valid configuration (recursing

@@ -172,7 +172,9 @@ func indexOf(s, sub string) int {
 // checkExtension completes doc and asserts the completion oracle: the
 // completion succeeds, validates, keeps the tree invariants, and is an
 // extension of doc — unwrapping the inserted elements in reverse creation
-// order gives back doc's serialization byte for byte.
+// order gives back doc's serialization byte for byte. An input the
+// validator accepts must come back unchanged: zero insertions, its own
+// serialization, and CompleteInPlace reporting it valid.
 func checkExtension(t *testing.T, c *Completer, val *validator.Validator, label string, doc *dom.Node) {
 	t.Helper()
 	in := doc.String()
@@ -183,10 +185,16 @@ func checkExtension(t *testing.T, c *Completer, val *validator.Validator, label 
 	if got := doc.String(); got != in {
 		t.Errorf("%s: CompleteTracked changed its input to\n%s\nfrom\n%s", label, got, in)
 	}
+	wasValid := val.Validate(doc) == nil
+	if wasValid && (len(inserted) != 0 || ext.String() != in) {
+		t.Errorf("%s: a valid input took %d insertions:\n%s\ncompleted:\n%s", label, len(inserted), in, ext)
+	}
 	// Completing a private copy in place gives the same extension.
 	own := doc.Clone()
-	if nodes, err := c.CompleteInPlace(own); err != nil || len(nodes) != len(inserted) || own.String() != ext.String() {
+	if nodes, valid, err := c.CompleteInPlace(own); err != nil || len(nodes) != len(inserted) || own.String() != ext.String() {
 		t.Errorf("%s: CompleteInPlace gives %d insertions, %v:\n%s\nCompleteTracked %d:\n%s", label, len(nodes), err, own, len(inserted), ext)
+	} else if valid != wasValid {
+		t.Errorf("%s: CompleteInPlace reports valid=%t, the validator %t", label, valid, wasValid)
 	} else if err := own.Validate(); err != nil {
 		t.Errorf("%s: tree invariants after CompleteInPlace: %v", label, err)
 	}

@@ -19,20 +19,27 @@ import (
 // goldenDigests pins, per corpus group, the SHA-256 of every completion's
 // inserted count, inserted element names (creation order) and serialized
 // output, so any change to the search order, the in-progress rule or the
-// host ranges shows up here as a changed plan. The figure1, play, article
-// and random-nonrecursive digests date from the map-based DP and were kept
-// through the dense tables and the H table. The three recursive groups were
-// re-recorded with the H table: their old plans came from a cycle guard
-// that refused a host question already open for the same element and range
-// at any depth, and 2, 4 and 20 of their documents changed.
+// host ranges shows up here as a changed plan. The three recursive groups
+// were re-recorded with the H table: their old plans came from a cycle
+// guard that refused a host question already open for the same element and
+// range at any depth, and 2, 4 and 20 of their documents changed. Every
+// group was re-recorded when the stream checker became completion's gate:
+// the 126 not-PV error texts took its wording, and 18 valid inputs now come
+// back unchanged. The DP used to rewrite 10 of them under ambiguous models
+// (random non-recursive part 13 docs 1 and 7, random strong part 12 doc 4
+// and part 18 docs 0–2 and 4–7). The recognizer pre-check refused the
+// other 8, reading their whitespace in element content as character data
+// (figure1 docs 144 and 168, random non-recursive part 18 docs 0, 3 and 6
+// and part 28 docs 3 and 6, random strong part 18 doc 3). No input the
+// validator rejects changed its plan.
 var goldenDigests = map[string]string{
-	"figure1":             "0ae824e8ecc787e9dfe704ce4b734983f777a464521c8d734f3e14ed97dd629a",
-	"play":                "07fc4dca18f8f4d7a11e360faa361f99e340d082013e4fea617209e45aedca9e",
-	"article":             "9965ac2ce92107662dbffa1d0cb5b4c316880418e5d9700599aaa5229cd0043b",
-	"tei-lite":            "283c836e36d8a52d522b621f8150378b4411342b708a06b02e9e8044027e7285",
-	"random-nonrecursive": "846aae68cf1c1b234a42e0416e8389feef8575b652c2e6ee18528a4c652dc1c4",
-	"random-weak":         "11ee9ef49631f4f0c548e1deb16ea4decdfa382989bb8e86bf1c01254ad1ac44",
-	"random-strong":       "19578516c6695e6525921072fb8492be271554c98bbfc7d991c868cc015dab34",
+	"figure1":             "5b0c81e6a459a1f8f2e48e2eb818c7e2b70912e7d7b8806bc0122601a839ecfe",
+	"play":                "1ecd1994fe6de68a179af78af1628d67b0d486cef2b917bb8df0376981ea7e11",
+	"article":             "6591174aa7f1fcc33a177e2c6d2c334fad232f06ba2a966697a5125a2e8dbe62",
+	"tei-lite":            "05f16ba51ce127b45e9da4038d2324a5ad0f9a61b25208aea92cda399230e00c",
+	"random-nonrecursive": "0527727e5922d64ee39afcebd8cb214e217c0479e797d24a43fe102ec1865f67",
+	"random-weak":         "dc4dd55e5784f85f0faec249967e457571b5f9099a4ea75cf77252de2edbd931",
+	"random-strong":       "95ac109b161e9467936561fbf405eb49cc583087456b2e818baf155cfb4a91dc",
 }
 
 // goldenGroup is a named set of schemas, each with the documents
@@ -195,15 +202,17 @@ func TestCompleteGoldenCorpus(t *testing.T) {
 // goldenRecordDigests pins, per corpus group, the SHA-256 of every
 // completion's insertion records (diff.ComputeDoc over the completed
 // document), so a change to how records are derived shows up even when
-// the plans themselves do not move.
+// the plans themselves do not move. A failure hashes as a bare "error", so
+// only figure1, random-nonrecursive and random-strong moved when valid
+// inputs stopped taking insertions or failing the pre-check.
 var goldenRecordDigests = map[string]string{
-	"figure1":             "7d2be64dadb58ec5e46d4b52efd9d804934346bd5f6cdbcad8d6dc73230465c4",
+	"figure1":             "28ccee93d3edec86f4aaa2bfba1db3a13a951a80fc25dae04812b29877554528",
 	"play":                "7ea153697da9f3d0dff566c8c97a5e85faf4f130307a1946ecc383695ea1d9b2",
 	"article":             "a056c56889c01dd6658385d49fde0e9847b1e1937674d5f1697a97e276f60a63",
 	"tei-lite":            "524fca2725626000f35f0e262a2295da36b6659e2a8750c516f111f0ad684e36",
-	"random-nonrecursive": "52f0e6876e4b47f2d2ef03263165b8cf3abc7203a1be211ccf604d41861348f1",
+	"random-nonrecursive": "f3e8beb6ff5c6725650185f9f2e9b187901a1ca79b8f8da045e4d6ce28439755",
 	"random-weak":         "ee5807a462da292666bc01ab29b600c742be17471ae191eb795b5b175c4339a3",
-	"random-strong":       "21b6c81d52f20190adbb790fbe6b69cdc00a50be90933f91faf21cc3650b98c6",
+	"random-strong":       "360efe9aa604c388f2bb8a5b13317b25eeb5c3f58ddd766bb08c4f0c1c725275",
 }
 
 // TestCompleteGoldenInsertionRecords pins the insertion records of the

@@ -10,20 +10,18 @@ import (
 	"repro/internal/dtd"
 )
 
-// scratchDTD declares <s>, whose 301-position model gives 250 children a
-// memo table of 301·251 entries, and <u>, whose <x> children can only go
-// into an inserted <v>: sweeping v's model asks for H(y_k, i, ·) of all
-// 100 <y_k>s at every item, which fills 100 rows of the H table.
+// scratchDTD declares <s>, whose 302-position model gives 250 children a
+// memo table of 302·251 entries (the required <z> makes them invalid, so
+// the DP runs), and <u>, whose <x> children can only go into an inserted
+// <v>: sweeping v's model asks for H(y_k, i, ·) of all 100 <y_k>s at every
+// item, which fills 100 rows of the H table.
 func scratchDTD() *dtd.DTD {
 	var b strings.Builder
 	b.WriteString("<!ELEMENT s (")
 	for k := 1; k <= 300; k++ {
-		if k > 1 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "a%d?", k)
+		fmt.Fprintf(&b, "a%d?, ", k)
 	}
-	b.WriteString(")>\n")
+	b.WriteString("z)>\n<!ELEMENT z EMPTY>\n")
 	for k := 1; k <= 300; k++ {
 		fmt.Fprintf(&b, "<!ELEMENT a%d EMPTY>\n", k)
 	}

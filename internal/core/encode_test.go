@@ -109,7 +109,7 @@ func TestBinaryRoundTripDifferential(t *testing.T) {
 				if (wantS == nil) != (gotS == nil) {
 					t.Fatalf("%s doc %d: stream verdict differs: orig=%v decoded=%v", fx.name, i, wantS, gotS)
 				}
-				if gotB := dec.CheckStreamBytes([]byte(src)); (gotB == nil) != (wantS == nil) {
+				if gotB := dec.NewStreamChecker().RunBytes([]byte(src)); (gotB == nil) != (wantS == nil) {
 					t.Fatalf("%s doc %d: byte-stream verdict differs: orig=%v decoded=%v", fx.name, i, wantS, gotB)
 				}
 				if wantS != nil {

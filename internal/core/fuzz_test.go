@@ -43,7 +43,7 @@ func FuzzCheckStream(f *testing.F) {
 			streamErr := s.CheckStream(xml)
 			// The zero-copy byte path must agree with the string path on
 			// acceptance, violation typing and message text.
-			if byteErr := s.CheckStreamBytes([]byte(xml)); !sameVerdict(streamErr, byteErr) {
+			if byteErr := s.NewStreamChecker().RunBytes([]byte(xml)); !sameVerdict(streamErr, byteErr) {
 				t.Fatalf("schema %s: string/byte stream paths disagree on %q\n  string: %v\n  bytes:  %v",
 					s.Root, xml, streamErr, byteErr)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/contentmodel"
 	"repro/internal/dfa"
+	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/xmltext"
 )
@@ -56,8 +57,9 @@ type frame struct {
 // token stream — the incremental formulation the paper recommends ("we can
 // solve the potential validity problem incrementally, for each document
 // node, by considering only node's children", Section 4). It is equivalent
-// to CheckDocument and is what the editor layer and the large-document
-// benchmarks use.
+// to CheckDocument, which stays as its test oracle; the engine, the
+// library, completion and the editor all decide on it (RunBytes,
+// RunReader, RunTree).
 //
 // Checking is two-tier: per open element the compiled content-model DFA
 // (internal/dfa) settles each child symbol with one table load and zero
@@ -111,6 +113,8 @@ type StreamChecker struct {
 	// both across documents.
 	lx  xmltext.ByteLexer
 	clx *xmltext.ChunkedLexer
+	// hideSpace is IgnoreWhitespaceText for ValidTree's run only.
+	hideSpace bool
 }
 
 // NewStreamChecker returns a fresh streaming checker.
@@ -318,7 +322,7 @@ func (c *StreamChecker) Text(data []byte) error {
 			c.valid = isSpace(data)
 		}
 	}
-	if len(data) == 0 || (c.schema.opts.IgnoreWhitespaceText && isSpace(data)) {
+	if len(data) == 0 || ((c.schema.opts.IgnoreWhitespaceText || c.hideSpace) && isSpace(data)) {
 		return nil
 	}
 	if len(c.frames) == 0 {
@@ -397,12 +401,7 @@ func (c *StreamChecker) Close() error {
 // CheckStream runs the streaming check over a string document: a
 // single-pass Problem PV solver, reading src in place through
 // xmltext.View.
-func (s *Schema) CheckStream(src string) error { return s.CheckStreamBytes(xmltext.View(src)) }
-
-// CheckStreamBytes runs the streaming check over a byte document: token
-// names and data are subslices of src, and element names resolve through
-// the interned-name table.
-func (s *Schema) CheckStreamBytes(src []byte) error { return s.NewStreamChecker().RunBytes(src) }
+func (s *Schema) CheckStream(src string) error { return s.NewStreamChecker().Run(src) }
 
 // Run is RunBytes over a string document, read in place through
 // xmltext.View.
@@ -419,6 +418,48 @@ func (c *StreamChecker) RunBytes(src []byte) error {
 	err := c.run(&c.lx)
 	c.lx.Reset(nil) // a pooled checker must not pin the document
 	return err
+}
+
+// RunTree resets the checker and drives it over the tree rooted at root in
+// document order: an element sends its start tag, children and end tag, a
+// text node its data, comments and PIs nothing. Verdict, message and
+// validity bit are RunBytes' over the tree's serialization, also for
+// adjacent or empty text nodes (adjacent text folds into one σ, empty text
+// is ignored). A non-element root reads as a missing root element.
+func (c *StreamChecker) RunTree(root *dom.Node) error {
+	c.Reset()
+	c.walk(root)
+	return c.Close()
+}
+
+// ValidTree reports validator.Validate's verdict on the tree, also where
+// RunTree finds it not potentially valid because whitespace-only text in
+// element content, which validity ignores, reads as σ. It is RunTree with
+// that text hidden from the potential-validity feed but not from the
+// validity lane, which decides.
+func (c *StreamChecker) ValidTree(root *dom.Node) bool {
+	c.hideSpace = true
+	c.RunTree(root)
+	c.hideSpace = false
+	return c.StrictlyValid()
+}
+
+// walk sends n's events. Each event records its error in c.err, which
+// Close returns, so walk only has to stop at the first one.
+func (c *StreamChecker) walk(n *dom.Node) {
+	switch n.Kind {
+	case dom.TextNode:
+		c.Text(xmltext.View(n.Data))
+	case dom.ElementNode:
+		c.StartElement(xmltext.View(n.Name))
+		for _, ch := range n.Children {
+			if c.err != nil {
+				return
+			}
+			c.walk(ch)
+		}
+		c.EndElement(xmltext.View(n.Name))
+	}
 }
 
 // RunReader is RunBytes over an io.Reader: the document is lexed through a
@@ -477,10 +518,6 @@ func (c *StreamChecker) run(src tokenSource) error {
 		}
 	}
 }
-
-// CheckReader is CheckStream over an io.Reader: one bounded-memory pass,
-// O(element depth + window) peak usage regardless of document size.
-func (s *Schema) CheckReader(r io.Reader) error { return s.NewStreamChecker().RunReader(r) }
 
 // isSpace reports whether the text is entirely XML whitespace; shared by
 // the text event and by Δ_T via isWhitespace.

@@ -36,8 +36,8 @@ func byteCorpus(rng *rand.Rand, d *dtd.DTD, root string) []string {
 }
 
 // TestCheckStreamBytesMatchesString is the checker half of the byte-path
-// differential acceptance criterion: CheckStreamBytes must return exactly
-// the same verdict — including error text and violation typing — as
+// differential acceptance criterion: RunBytes must return exactly the
+// same verdict — including error text and violation typing — as
 // CheckStream on the full generated corpus, across all three DTD
 // recursion classes. Run under -race in CI.
 func TestCheckStreamBytesMatchesString(t *testing.T) {
@@ -62,7 +62,7 @@ func TestCheckStreamBytesMatchesString(t *testing.T) {
 			total += len(docs)
 			for i, xml := range docs {
 				strErr := s.CheckStream(xml)
-				byteErr := s.CheckStreamBytes([]byte(xml))
+				byteErr := s.NewStreamChecker().RunBytes([]byte(xml))
 				if !sameVerdict(strErr, byteErr) {
 					t.Errorf("doc %d: verdict mismatch\n  string: %v\n  bytes:  %v\n  doc: %.200q",
 						i, strErr, byteErr, xml)
@@ -113,7 +113,7 @@ func TestCheckStreamBytesFixtures(t *testing.T) {
 	for _, s := range schemas {
 		for _, xml := range inputs {
 			strErr := s.CheckStream(xml)
-			byteErr := s.CheckStreamBytes([]byte(xml))
+			byteErr := s.NewStreamChecker().RunBytes([]byte(xml))
 			if !sameVerdict(strErr, byteErr) {
 				t.Errorf("schema %s, doc %q:\n  string: %v\n  bytes:  %v", s.Root, xml, strErr, byteErr)
 			}

@@ -92,7 +92,7 @@ func TestRunReaderMatchesRunBytes(t *testing.T) {
 	}
 	c := s.NewStreamChecker()
 	for _, doc := range docs {
-		want := s.CheckStreamBytes([]byte(doc))
+		want := s.NewStreamChecker().RunBytes([]byte(doc))
 		got := c.RunReaderBuffer(strings.NewReader(doc), 16)
 		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
 			t.Errorf("%q:\n  bytes:  %v\n  reader: %v", doc, want, got)
@@ -147,7 +147,7 @@ func TestRunReaderGzipComposition(t *testing.T) {
 	s := MustCompile(dtd.MustParse(readerTestDTD), "log", Options{})
 	var buf bytes.Buffer
 	buf.WriteString(`<log><entry><msg>x</msg><code>0</code></entry></log>`)
-	if err := s.CheckReader(&buf); err != nil {
-		t.Fatalf("CheckReader: %v", err)
+	if err := s.NewStreamChecker().RunReader(&buf); err != nil {
+		t.Fatalf("RunReader: %v", err)
 	}
 }

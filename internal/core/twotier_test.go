@@ -83,8 +83,44 @@ func (p twoTierPair) twoTierCheckers() (names []string, checkers []*StreamChecke
 // violation typing, or message) diverges from the recognizer-only
 // reference. When the document is potentially valid it also asserts that
 // every configuration's validity bit equals the full validator's verdict.
-// It returns the reference's final error.
+// A document that parses and ends potentially valid or with a violation
+// also goes through checkRunTree. It returns the reference's final error.
 func driveTwoTier(t *testing.T, p twoTierPair, xml string) error {
+	t.Helper()
+	err := driveEvents(t, p, xml)
+	if err == nil || IsViolation(err) {
+		checkRunTree(t, p, xml, err)
+	}
+	return err
+}
+
+// checkRunTree pins RunTree to the token pass: the fast configuration's
+// RunTree over xml's parsed tree gives the token verdict and message, and
+// on a potentially valid document its validity bit is the validator's.
+// ValidTree is the validator's verdict on every such tree, potentially
+// valid or not. The five configurations are already pinned to each other
+// event by event, so the fast one stands for all.
+func checkRunTree(t *testing.T, p twoTierPair, xml string, want error) {
+	t.Helper()
+	doc, err := dom.Parse(xml)
+	if err != nil {
+		return
+	}
+	c := p.fast.NewStreamChecker()
+	if got := c.RunTree(doc.Root); !sameVerdict(want, got) {
+		t.Fatalf("RunTree over %q: %v, token pass %v", xml, got, want)
+	}
+	verr := p.valid.Validate(doc.Root)
+	if want == nil && c.StrictlyValid() != (verr == nil) {
+		t.Fatalf("RunTree over %q: StrictlyValid %v, validator says %v", xml, c.StrictlyValid(), verr)
+	}
+	if got := c.ValidTree(doc.Root); got != (verr == nil) {
+		t.Fatalf("ValidTree over %q: %t, validator says %v", xml, got, verr)
+	}
+}
+
+// driveEvents is driveTwoTier's token pass.
+func driveEvents(t *testing.T, p twoTierPair, xml string) error {
 	t.Helper()
 	names, checkers := p.twoTierCheckers()
 	for _, c := range checkers {
@@ -237,6 +273,81 @@ func TestTwoTierDifferentialGenerated(t *testing.T) {
 	}
 	if docs < 1000 || valid < docs/10 {
 		t.Fatalf("differential corpus too small: %d documents (%d valid), want >= 1000 (10%% valid)", docs, valid)
+	}
+}
+
+// TestRunTreeHandBuilt runs RunTree over trees built node by node,
+// including shapes the parser never builds (adjacent and empty text
+// nodes). RunTree must agree with RunBytes over the tree's serialization
+// on verdict, message and validity bit, and with the tree oracle
+// (CheckDocument, then validator.Validate) on the verdict bits; ValidTree
+// must be the validator's verdict.
+func TestRunTreeHandBuilt(t *testing.T) {
+	fig1 := dtd.MustParse(dtd.Figure1)
+	el, text := dom.NewElement, dom.NewText
+	comment := func(data string) *dom.Node { return &dom.Node{Kind: dom.CommentNode, Data: data} }
+	ws := Options{IgnoreWhitespaceText: true}
+	cases := []struct {
+		name      string
+		opts      Options
+		root      *dom.Node
+		pv, valid bool
+	}{
+		{"adjacent-text", Options{},
+			el("r", el("a", el("c", text("foo"), text("bar")), el("d"))), true, true},
+		{"adjacent-text-element-content", Options{},
+			el("r", el("a", text("foo"), text("bar"), el("d"))), true, false},
+		{"empty-text", Options{},
+			el("r", el("a", text(""), el("c", text("")), text(""), el("d"))), true, true},
+		{"comment-between-texts", Options{},
+			el("r", el("a", el("c", text("foo"), comment("x"), text("bar")), el("d"))), true, true},
+		{"comment-between-texts-element-content", Options{},
+			el("r", el("a", text("foo"), comment("x"), text("bar"), el("d"))), true, false},
+		{"whitespace-element-content", Options{},
+			el("r", text("\n "), el("a", el("c", text("x")), el("d")), text("\n")), true, true},
+		{"whitespace-element-content-ignored", ws,
+			el("r", text("\n "), el("a", el("c", text("x")), el("d")), text("\n")), true, true},
+		// Valid, but the space after <d> is a σ that <b> (d | f) cannot
+		// take, so only ValidTree sees the validity.
+		{"whitespace-after-bounded-model", Options{},
+			el("r", el("a", el("b", el("d", text("x")), text(" ")), el("c", text("y")), el("d"))), false, false},
+		{"whitespace-in-empty", Options{},
+			el("r", el("a", el("c", text("x")), el("d", el("e", text(" "))))), false, false},
+		{"whitespace-in-empty-ignored", ws,
+			el("r", el("a", el("c", text("x")), el("d", el("e", text(" "))))), true, false},
+		{"undeclared-element", Options{},
+			el("r", el("a", el("zz"))), false, false},
+		{"non-schema-root", Options{},
+			el("d", el("e"), text("t")), false, false},
+		{"non-schema-root-any-root", Options{AllowAnyRoot: true},
+			el("d", el("e"), text("t")), true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MustCompile(fig1, "r", tc.opts)
+			v := validator.MustNew(fig1, "r")
+			c := s.NewStreamChecker()
+			err := c.RunTree(tc.root)
+			if err != nil && !IsViolation(err) {
+				t.Fatalf("RunTree: %v is not a violation", err)
+			}
+			if pv, valid := err == nil, c.StrictlyValid(); pv != tc.pv || valid != tc.valid {
+				t.Errorf("RunTree: pv=%t valid=%t (%v), want pv=%t valid=%t", pv, valid, err, tc.pv, tc.valid)
+			}
+			xml := tc.root.String()
+			b := s.NewStreamChecker()
+			if berr := b.RunBytes([]byte(xml)); !sameVerdict(berr, err) || b.StrictlyValid() != c.StrictlyValid() {
+				t.Errorf("RunBytes over %q: %v valid=%t; RunTree %v valid=%t", xml, berr, b.StrictlyValid(), err, c.StrictlyValid())
+			}
+			treePV := s.CheckDocument(tc.root) == nil
+			treeValid := treePV && v.Validate(tc.root) == nil
+			if treePV != (err == nil) || treeValid != c.StrictlyValid() {
+				t.Errorf("tree oracle: pv=%t valid=%t; RunTree %v valid=%t", treePV, treeValid, err, c.StrictlyValid())
+			}
+			if got, verr := c.ValidTree(tc.root), v.Validate(tc.root); got != (verr == nil) {
+				t.Errorf("ValidTree: %t, validator says %v", got, verr)
+			}
+		})
 	}
 }
 

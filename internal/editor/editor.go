@@ -68,8 +68,8 @@ type Session struct {
 // potentially valid (e.g. the bare <root>text</root> starting point of a
 // document-centric encoding project).
 func NewSession(schema *core.Schema, root *dom.Node) (*Session, error) {
-	if v := schema.CheckDocument(root); v != nil {
-		return nil, fmt.Errorf("editor: initial document is not potentially valid: %v", v)
+	if err := schema.NewStreamChecker().RunTree(root); err != nil {
+		return nil, fmt.Errorf("editor: initial document is not potentially valid: %v", err)
 	}
 	return &Session{schema: schema, root: root, stats: Stats{ByKind: map[OpKind]int{}}}, nil
 }
@@ -191,8 +191,8 @@ func (s *Session) Undo() bool {
 // Check re-verifies the whole document; the session invariant means it
 // should always return nil — exposed for tests and paranoia.
 func (s *Session) Check() error {
-	if v := s.schema.CheckDocument(s.root); v != nil {
-		return fmt.Errorf("editor: invariant broken: %v", v)
+	if err := s.schema.NewStreamChecker().RunTree(s.root); err != nil {
+		return fmt.Errorf("editor: invariant broken: %v", err)
 	}
 	return nil
 }

@@ -84,13 +84,20 @@ func (s *Schema) Completer() *complete.Completer {
 // PutCompleter returns a completer obtained from Completer to the pool.
 func (s *Schema) PutCompleter(c *complete.Completer) { s.completers.Put(c) }
 
+// Checker fetches a pooled stream checker for the schema; return it with
+// PutChecker when done. The engine's workers and the root-package checks
+// share this pool.
+func (s *Schema) Checker() *core.StreamChecker { return s.checkers.Get().(*core.StreamChecker) }
+
+// PutChecker returns a checker obtained from Checker to the pool.
+func (s *Schema) PutChecker(c *core.StreamChecker) { s.checkers.Put(c) }
+
 // completeOne runs one completion on a pooled completer. The tree parse
-// settles well-formedness; already-valid documents short-circuit to a
-// serialization round trip (the regression-tested identity: zero
-// insertions, output identical to the parsed input's own serialization);
-// the rest go through the completion DP. withDiff controls whether
-// insertion records are computed.
-func (e *Engine) completeOne(s *Schema, c *complete.Completer, d Doc, withDiff bool) CompleteResult {
+// settles well-formedness and the completer's stream checker the verdict:
+// an already-valid document comes back as its own serialization with zero
+// insertions, and the rest go through the completion DP. withDiff controls
+// whether insertion records are computed.
+func (e *Engine) completeOne(c *complete.Completer, d Doc, withDiff bool) CompleteResult {
 	src := d.data()
 	res := CompleteResult{ID: d.ID, Bytes: len(src)}
 	doc, err := dom.ParseBytes(src)
@@ -98,14 +105,8 @@ func (e *Engine) completeOne(s *Schema, c *complete.Completer, d Doc, withDiff b
 		res.Err = err
 		return res
 	}
-	if s.Valid != nil && s.Valid.Validate(doc.Root) == nil {
-		res.Completed = true
-		res.AlreadyValid = true
-		res.Output = serializeDoc(doc)
-		return res
-	}
 	// The tree is this call's own parse, so it completes in place.
-	nodes, err := c.CompleteInPlace(doc.Root)
+	nodes, valid, err := c.CompleteInPlace(doc.Root)
 	if err != nil {
 		if core.IsViolation(err) {
 			res.Detail = err.Error()
@@ -115,11 +116,12 @@ func (e *Engine) completeOne(s *Schema, c *complete.Completer, d Doc, withDiff b
 		return res
 	}
 	res.Completed = true
+	res.AlreadyValid = valid
 	res.Inserted = len(nodes)
 	// Serialize at document level: prolog/epilog nodes (XML declaration
 	// PI, license comments) survive completion.
 	res.Output = serializeDoc(doc)
-	if withDiff {
+	if withDiff && !valid {
 		res.Insertions = diff.ComputeDoc(doc.Root, nodes, res.Output).Insertions
 	}
 	return res
@@ -147,7 +149,7 @@ func (e *Engine) Complete(s *Schema, d Doc, withDiff bool) CompleteResult {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 	c := s.Completer()
-	res := e.completeOne(s, c, d, withDiff)
+	res := e.completeOne(c, d, withDiff)
 	s.PutCompleter(c)
 	e.accountComplete(&res)
 	return res
@@ -167,8 +169,8 @@ func (e *Engine) CompleteBatch(s *Schema, docs []Doc, withDiff bool) ([]Complete
 	results, workers := runBatch(e, s, docs,
 		func(sc *Schema) *complete.Completer { return sc.Completer() },
 		func(sc *Schema, c *complete.Completer) { sc.PutCompleter(c) },
-		func(sc *Schema, c *complete.Completer, d Doc) CompleteResult {
-			return e.completeOne(sc, c, d, withDiff)
+		func(_ *Schema, c *complete.Completer, d Doc) CompleteResult {
+			return e.completeOne(c, d, withDiff)
 		},
 		func(d *Doc, err error) CompleteResult { return CompleteResult{ID: d.ID, Bytes: d.Size(), Err: err} },
 	)

@@ -125,7 +125,7 @@ func TestCompleteBatchDifferential(t *testing.T) {
 	}
 	for i, doc := range docs {
 		c := complete.New(refSchema.Core)
-		seq[i] = refEngine.completeOne(refSchema, c, doc, true)
+		seq[i] = refEngine.completeOne(c, doc, true)
 		seq[i].Index = i
 	}
 	for _, workers := range []int{1, 2, 8} {
@@ -243,6 +243,64 @@ func TestServerComplete(t *testing.T) {
 	}
 	if resp.Stats.Inserted != 2 || resp.Stats.Docs != 3 {
 		t.Errorf("stats: %+v", resp.Stats)
+	}
+}
+
+// TestCompleteDetailIsCheckDetail pins one verdict and one wording for a
+// not potentially valid document: /complete's detail is /check's behind
+// the completion prefix, because both routes decide on the same stream
+// checker.
+func TestCompleteDetailIsCheckDetail(t *testing.T) {
+	h := NewServer(New(Config{Workers: 2}))
+	for _, doc := range []string{
+		`<r><a><b>x</b><e></e><c>y</c></a></r>`, // Example 1's w
+		`<r><zzz></zzz></r>`,
+		`<d></d>`,
+	} {
+		var check resultJSON
+		if err := json.Unmarshal(post(t, h, "/check", checkBody(t, dtd.Figure1, "r", doc)).Body.Bytes(), &check); err != nil {
+			t.Fatal(err)
+		}
+		var resp completeResponse
+		body := completeBody(t, dtd.Figure1, "r", []map[string]any{{"id": "x", "content": doc}}, nil)
+		if err := json.Unmarshal(post(t, h, "/complete", body).Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if check.PotentiallyValid || check.Detail == "" || len(resp.Results) != 1 {
+			t.Fatalf("%s: /check %+v, /complete %+v", doc, check, resp.Results)
+		}
+		if got, want := resp.Results[0].Detail, "complete: document is not potentially valid: "+check.Detail; got != want {
+			t.Errorf("%s: /complete detail %q, want %q", doc, got, want)
+		}
+	}
+}
+
+// TestCompleteWhitespaceValidIsIdentity pins /complete's answer on a valid
+// document that /check finds not potentially valid: without
+// IgnoreWhitespaceText the checker reads the space after <d> as
+// character data that <b> (d | f) cannot take, while the validator
+// ignores whitespace in element content. /complete answers as the
+// validator does: already valid, output unchanged.
+func TestCompleteWhitespaceValidIsIdentity(t *testing.T) {
+	h := NewServer(New(Config{Workers: 2}))
+	doc := `<r><a><b><d>x</d> </b><c>y</c><d></d></a></r>`
+	var check resultJSON
+	if err := json.Unmarshal(post(t, h, "/check", checkBody(t, dtd.Figure1, "r", doc)).Body.Bytes(), &check); err != nil {
+		t.Fatal(err)
+	}
+	if check.PotentiallyValid || check.Valid {
+		t.Errorf("/check: %+v, want not potentially valid", check)
+	}
+	var resp completeResponse
+	body := completeBody(t, dtd.Figure1, "r", []map[string]any{{"id": "x", "content": doc}}, nil)
+	if err := json.Unmarshal(post(t, h, "/complete", body).Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 {
+		t.Fatalf("/complete: %+v", resp.Results)
+	}
+	if r := resp.Results[0]; !r.Completed || !r.AlreadyValid || r.Inserted != 0 || r.Output != doc || r.Detail != "" || len(r.Insertions) != 0 {
+		t.Errorf("/complete: %+v, want already valid and unchanged", r)
 	}
 }
 

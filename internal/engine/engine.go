@@ -27,10 +27,10 @@ import (
 )
 
 // Schema is one compiled checking artifact: the potential-validity core,
-// the full validator, and pools of reusable streaming checkers and
+// the full validator (for pv.Schema.Validate, which returns its reason),
+// and pools of reusable streaming checkers, which give every verdict, and
 // completers. A Schema is safe for concurrent use; the pools keep
-// per-worker checker and completer state off the allocator on the hot
-// path.
+// per-worker checker and completer state off the allocator on the hot path.
 type Schema struct {
 	Core  *core.Schema
 	Valid *validator.Validator
@@ -504,9 +504,9 @@ func (e *Engine) Check(s *Schema, d Doc) Result {
 	}
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
-	c := s.checkers.Get().(*core.StreamChecker)
+	c := s.Checker()
 	res := e.check(c, d)
-	s.checkers.Put(c)
+	s.PutChecker(c)
 	e.account(&res)
 	return res
 }
@@ -537,12 +537,12 @@ func (e *Engine) CheckReader(s *Schema, id string, r io.Reader) Result {
 	}
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
-	c := s.checkers.Get().(*core.StreamChecker)
+	c := s.Checker()
 	cr := &countReader{r: r}
 	err := c.RunReader(cr)
 	res := Result{ID: id, Bytes: int(cr.n)}
 	e.verdict(&res, c, err)
-	s.checkers.Put(c)
+	s.PutChecker(c)
 	e.account(&res)
 	return res
 }
@@ -639,8 +639,8 @@ func (e *Engine) finishBatch(stats *BatchStats, start time.Time) {
 func (e *Engine) CheckBatch(s *Schema, docs []Doc) ([]Result, BatchStats) {
 	start := time.Now()
 	results, workers := runBatch(e, s, docs,
-		func(sc *Schema) *core.StreamChecker { return sc.checkers.Get().(*core.StreamChecker) },
-		func(sc *Schema, c *core.StreamChecker) { sc.checkers.Put(c) },
+		(*Schema).Checker,
+		(*Schema).PutChecker,
 		func(_ *Schema, c *core.StreamChecker, d Doc) Result { return e.check(c, d) },
 		func(d *Doc, err error) Result { return Result{ID: d.ID, Bytes: d.Size(), Err: err} },
 	)

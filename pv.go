@@ -13,8 +13,9 @@
 //
 // The package compiles a DTD into a Schema and offers:
 //
-//   - whole-document checking (the paper's Problem PV), in tree and
-//     streaming form, in time linear in document size (Theorem 4);
+//   - whole-document checking (the paper's Problem PV) with the full
+//     validity bit, in one streaming pass over a string, bytes, a reader
+//     or a parsed tree, in time linear in document size (Theorem 4);
 //   - per-element content checking (Problem ECPV) via the paper's
 //     ECRecognizer over a DAG model of the DTD, with the depth bound that
 //     tames PV-strong recursive DTDs;
@@ -40,7 +41,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/complete"
 	"repro/internal/core"
 	"repro/internal/diff"
 	"repro/internal/dom"
@@ -82,18 +82,10 @@ const (
 
 // Schema is a DTD compiled for potential-validity checking and validation.
 // It wraps the engine artifact, which carries the compiled core schema, the
-// validator and the checker and completer pools.
+// validator and the checker and completer pools; the engine pools are
+// shared by registry-cached schemas, so warm checkers and completers
+// survive cache hits.
 type Schema struct{ eng *engine.Schema }
-
-// completer fetches a pooled completer from the engine artifact (every
-// Schema carries one); return it with putCompleter. Completers memoize
-// per-schema state that is expensive to rebuild, and the engine pool is
-// shared by registry-cached schemas, so warm completers survive cache
-// hits.
-func (s *Schema) completer() *complete.Completer { return s.eng.Completer() }
-
-// putCompleter returns a pooled completer.
-func (s *Schema) putCompleter(c *complete.Completer) { s.eng.PutCompleter(c) }
 
 // ParseDTD parses DTD source text (internal/external subset syntax).
 func ParseDTD(src string) (*DTD, error) {
@@ -201,34 +193,42 @@ type Result struct {
 	Detail string
 }
 
-// CheckString parses an XML string and checks it. The returned error covers
-// lexical/well-formedness problems only; schema verdicts are in the Result.
+// CheckString checks an XML string in one streaming pass, read in place
+// with no tree built. The returned error covers lexical/well-formedness
+// problems only; schema verdicts are in the Result. The pass stops at the
+// first violation, so a document that is not potentially valid before it
+// turns out malformed gets the not-PV verdict and no error, as on /check.
 func (s *Schema) CheckString(xml string) (Result, error) { return s.CheckBytes(xmltext.View(xml)) }
 
-// CheckDocument checks a parsed document.
-func (s *Schema) CheckDocument(doc *Document) Result { return s.checkRoot(doc.root) }
-
-func (s *Schema) checkRoot(root *dom.Node) Result {
-	res := Result{}
-	if v := s.eng.Core.CheckDocument(root); v == nil {
-		res.PotentiallyValid = true
-	} else {
-		res.Detail = v.Reason
-	}
-	if res.PotentiallyValid && s.eng.Valid.Validate(root) == nil {
-		res.Valid = true
-	}
+// CheckDocument checks a parsed document: the stream checker runs over the
+// tree's events, so the verdict is CheckString's on its serialization.
+func (s *Schema) CheckDocument(doc *Document) Result {
+	c := s.eng.Checker()
+	defer s.eng.PutChecker(c)
+	// A document's root is an element, so the run ends well-formed.
+	res, _ := result(c, c.RunTree(doc.root))
 	return res
 }
 
-// CheckBytes parses an XML document held as bytes and checks it, without
-// ever copying the document into a string.
+// CheckBytes is CheckString over bytes, never copying the document into a
+// string.
 func (s *Schema) CheckBytes(xml []byte) (Result, error) {
-	doc, err := dom.ParseBytes(xml)
-	if err != nil {
-		return Result{}, err
+	c := s.eng.Checker()
+	defer s.eng.PutChecker(c)
+	return result(c, c.RunBytes(xml))
+}
+
+// result maps a finished checker run onto a Result: a violation is a
+// not-PV verdict, any other error is returned, and a clean run carries the
+// checker's validity bit.
+func result(c *core.StreamChecker, err error) (Result, error) {
+	switch {
+	case err == nil:
+		return Result{PotentiallyValid: true, Valid: c.StrictlyValid()}, nil
+	case core.IsViolation(err):
+		return Result{Detail: err.Error()}, nil
 	}
-	return s.checkRoot(doc.Root), nil
+	return Result{}, err
 }
 
 // CheckStream checks an XML string in a single streaming pass without
@@ -241,7 +241,11 @@ func (s *Schema) CheckStream(xml string) error { return s.CheckStreamBytes(xmlte
 // interned-name table, and an entity-free document is checked with no
 // per-token allocation. The fastest way to check an mmap'd or pooled
 // buffer.
-func (s *Schema) CheckStreamBytes(xml []byte) error { return s.eng.Core.CheckStreamBytes(xml) }
+func (s *Schema) CheckStreamBytes(xml []byte) error {
+	c := s.eng.Checker()
+	defer s.eng.PutChecker(c)
+	return c.RunBytes(xml)
+}
 
 // CheckReader is CheckStream over an io.Reader: the document is lexed
 // through a fixed sliding window and never held in memory, so peak usage is
@@ -250,77 +254,17 @@ func (s *Schema) CheckStreamBytes(xml []byte) error { return s.eng.Core.CheckStr
 // same bytes. It returns nil when the document is potentially valid; the
 // error otherwise explains the violation, well-formedness failure or read
 // problem.
-func (s *Schema) CheckReader(r io.Reader) error { return s.eng.Core.CheckReader(r) }
+func (s *Schema) CheckReader(r io.Reader) error {
+	c := s.eng.Checker()
+	defer s.eng.PutChecker(c)
+	return c.RunReader(r)
+}
 
 // Ref returns the schema's registry reference (a hex digest of source,
 // kind, root and options) when the schema was compiled through an Engine,
 // and "" otherwise. Documents in a mixed batch select their schema by this
 // reference (any prefix of at least 8 hex digits).
 func (s *Schema) Ref() string { return s.eng.Ref }
-
-// FileChecker checks files one at a time through the byte path, reusing
-// one read buffer (and one pooled streaming checker) across calls — file
-// checking with one read syscall and no string round trip. Not safe for
-// concurrent use; create one per goroutine.
-type FileChecker struct {
-	c   *core.StreamChecker
-	buf []byte
-}
-
-// NewFileChecker returns a reusable file checker for the schema.
-func (s *Schema) NewFileChecker() *FileChecker {
-	return &FileChecker{c: s.eng.Core.NewStreamChecker()}
-}
-
-// read loads path into the checker's buffer, growing it only when a file
-// exceeds every earlier size.
-func (fc *FileChecker) read(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	n := int(info.Size())
-	if cap(fc.buf) < n {
-		fc.buf = make([]byte, n)
-	}
-	fc.buf = fc.buf[:n]
-	if _, err := io.ReadFull(f, fc.buf); err != nil {
-		return nil, err
-	}
-	return fc.buf, nil
-}
-
-// Check reads and checks one file in a single streaming pass. The
-// semantics mirror CheckString: the error covers I/O and
-// lexical/well-formedness problems only, verdicts are in the Result.
-func (fc *FileChecker) Check(path string) (Result, error) {
-	data, err := fc.read(path)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := fc.c.RunBytes(data); err != nil {
-		if !core.IsViolation(err) {
-			return Result{}, err
-		}
-		return Result{Detail: err.Error()}, nil
-	}
-	return Result{PotentiallyValid: true, Valid: fc.c.StrictlyValid()}, nil
-}
-
-// CheckStream streams one file through the byte path and returns the
-// potential-validity verdict only; it is Check's pass without the Result.
-func (fc *FileChecker) CheckStream(path string) error {
-	data, err := fc.read(path)
-	if err != nil {
-		return err
-	}
-	return fc.c.RunBytes(data)
-}
 
 // Validate runs standard (full) DTD validation: the check for finished
 // encodings. It returns nil when the document is valid.
@@ -348,12 +292,13 @@ func (s *Schema) ElementClass(name string) Class { return s.eng.Core.LT.ElementC
 // Figure 3, where two <d> insertions complete Example 1's s). It returns a
 // fresh document (the input is untouched) and the number of elements
 // inserted. It fails if the document is not potentially valid within the
-// schema's depth bound. Completing an already-valid document is the
-// identity: zero insertions and an unchanged serialization.
+// schema's depth bound. The stream checker decides first, and an
+// already-valid document skips the completion DP: it comes back unchanged,
+// with zero insertions.
 func (s *Schema) Complete(doc *Document) (*Document, int, error) {
-	c := s.completer()
+	c := s.eng.Completer()
 	ext, inserted, err := c.Complete(doc.root)
-	s.putCompleter(c)
+	s.eng.PutCompleter(c)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -380,9 +325,9 @@ type CompleteResult = engine.CompleteResult
 // A Document holds the root subtree only, so the diff's serialization is
 // root-level; CompleteBytes preserves prolog/epilog nodes too.
 func (s *Schema) CompleteDiff(doc *Document) (*Document, *Diff, error) {
-	c := s.completer()
+	c := s.eng.Completer()
 	ext, nodes, err := c.CompleteTracked(doc.root)
-	s.putCompleter(c)
+	s.eng.PutCompleter(c)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -400,9 +345,9 @@ func (s *Schema) CompleteBytes(xml []byte) ([]byte, *Diff, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c := s.completer()
-	nodes, err := c.CompleteInPlace(parsed.Root)
-	s.putCompleter(c)
+	c := s.eng.Completer()
+	nodes, _, err := c.CompleteInPlace(parsed.Root)
+	s.eng.PutCompleter(c)
 	if err != nil {
 		return nil, nil, err
 	}

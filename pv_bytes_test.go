@@ -1,22 +1,38 @@
 package pv
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/dom"
 	"repro/internal/dtd"
 )
 
-// TestCheckBytesMatchesCheckString: the public byte path agrees with the
-// string path on verdicts and on lexical errors.
-func TestCheckBytesMatchesCheckString(t *testing.T) {
+// treeVerdict is the tree oracle the stream checker answers to: dom.Parse,
+// then core.Schema.CheckDocument (the paper's recognizer per element), then
+// validator.Validate. Its Detail wording differs from the stream
+// checker's; the verdict bits must not.
+func treeVerdict(s *Schema, xml string) (Result, error) {
+	doc, err := dom.Parse(xml)
+	if err != nil {
+		return Result{}, err
+	}
+	if v := s.eng.Core.CheckDocument(doc.Root); v != nil {
+		return Result{Detail: v.Reason}, nil
+	}
+	return Result{PotentiallyValid: true, Valid: s.eng.Valid.Validate(doc.Root) == nil}, nil
+}
+
+// TestCheckBytesMatchesTreeOracle: the public string, byte and tree checks
+// agree with each other on verdicts, details and lexical errors, and with
+// the tree oracle on the verdict bits.
+func TestCheckBytesMatchesTreeOracle(t *testing.T) {
 	s := MustCompileDTD(dtd.Figure1, "r", Options{})
 	for _, xml := range []string{
 		`<r><a><c>x</c><d></d></a></r>`,
 		`<r><a><b>x</b><e></e><c>y</c></a></r>`,
 		`<r><a><b>quick</b><c>fox</c> dog<e/></a></r>`,
+		`<r><a><b><d>x</d></b><c>y</c><d>z<e></e></d></a></r>`,
 		`<r><a>`,
 		`garbage<`,
 	} {
@@ -28,6 +44,18 @@ func TestCheckBytesMatchesCheckString(t *testing.T) {
 		if sr != br {
 			t.Errorf("%q: result mismatch %+v vs %+v", xml, sr, br)
 		}
+		want, werr := treeVerdict(s, xml)
+		if (serr == nil) != (werr == nil) {
+			t.Fatalf("%q: error %v, tree oracle %v", xml, serr, werr)
+		}
+		if sr.PotentiallyValid != want.PotentiallyValid || sr.Valid != want.Valid || (sr.Detail == "") != (want.Detail == "") {
+			t.Errorf("%q: %+v, tree oracle %+v", xml, sr, want)
+		}
+		if serr == nil {
+			if dr := s.CheckDocument(MustParseDocument(xml)); dr != sr {
+				t.Errorf("%q: CheckDocument %+v, CheckString %+v", xml, dr, sr)
+			}
+		}
 		streamErr := s.CheckStream(xml)
 		streamBytesErr := s.CheckStreamBytes([]byte(xml))
 		if (streamErr == nil) != (streamBytesErr == nil) {
@@ -36,46 +64,25 @@ func TestCheckBytesMatchesCheckString(t *testing.T) {
 	}
 }
 
-// TestFileChecker covers the reused-buffer file path: multiple files,
-// shrinking and growing sizes, verdicts matching CheckString.
-func TestFileChecker(t *testing.T) {
+// TestCheckStopsAtFirstViolation pins the one-pass contract on a document
+// that is not potentially valid before it turns out malformed: the check
+// stops at the violation, as /check and the streamed pvcheck path do, so
+// the verdict comes back and the parse error later on never surfaces.
+// The tree oracle parses first and reports the parse error instead.
+func TestCheckStopsAtFirstViolation(t *testing.T) {
 	s := MustCompileDTD(dtd.Figure1, "r", Options{})
-	dir := t.TempDir()
-	files := map[string]string{
-		"valid.xml": `<r><a><b>A quick brown</b><c> fox jumps over a lazy</c> dog<e></e></a></r>`,
-		"notpv.xml": `<r><a><b>x</b><e></e><c>y</c></a></r>`,
-		"tiny.xml":  `<r><a><c>x</c><d/></a></r>`,
-		"bad.xml":   `<r><a>`,
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+	const xml = `<r><zzz></zzz>` // <r> is never closed
+	for name, check := range map[string]func() (Result, error){
+		"CheckString": func() (Result, error) { return s.CheckString(xml) },
+		"CheckBytes":  func() (Result, error) { return s.CheckBytes([]byte(xml)) },
+	} {
+		res, err := check()
+		if err != nil || res.PotentiallyValid || !strings.Contains(res.Detail, "<zzz>") {
+			t.Errorf("%s: %+v, %v; want the undeclared <zzz> and no error", name, res, err)
 		}
 	}
-	fc := s.NewFileChecker()
-	for round := 0; round < 2; round++ { // second round exercises buffer reuse
-		for name, content := range files {
-			got, gotErr := fc.Check(filepath.Join(dir, name))
-			want, wantErr := s.CheckString(content)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s: error mismatch %v vs %v", name, gotErr, wantErr)
-			}
-			// Detail wording differs between the stream and tree paths (the
-			// engine has the same property); the verdict bits must agree.
-			if gotErr == nil && (got.PotentiallyValid != want.PotentiallyValid || got.Valid != want.Valid) {
-				t.Errorf("%s: %+v vs %+v", name, got, want)
-			}
-			if gotErr == nil && !got.PotentiallyValid && got.Detail == "" {
-				t.Errorf("%s: not-PV verdict without detail", name)
-			}
-			streamErr := fc.CheckStream(filepath.Join(dir, name))
-			if (streamErr == nil) != (want.PotentiallyValid && wantErr == nil) {
-				t.Errorf("%s: stream verdict %v, want pv=%t", name, streamErr, want.PotentiallyValid)
-			}
-		}
-	}
-	if _, err := fc.Check(filepath.Join(dir, "missing.xml")); err == nil {
-		t.Error("missing file: want error")
+	if _, err := treeVerdict(s, xml); err == nil {
+		t.Error("tree oracle: want the parse error")
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dtd"
 	"repro/internal/gen"
 )
 
@@ -41,12 +43,12 @@ func TestEngineCompileCache(t *testing.T) {
 	}
 }
 
-// TestEngineBatchMatchesCheckString is the public-API half of the
-// differential acceptance criterion: CheckBatch with 8 workers against
-// sequential Schema.CheckString over a generated corpus (all three DTD
-// recursion classes; valid, tag-stripped, corrupted and truncated
+// TestEngineBatchMatchesTreeOracle is the public-API half of the
+// differential acceptance criterion: CheckBatch with 8 workers against the
+// sequential tree oracle (treeVerdict) over a generated corpus (all three
+// DTD recursion classes; valid, tag-stripped, corrupted and truncated
 // documents). CI runs it under -race.
-func TestEngineBatchMatchesCheckString(t *testing.T) {
+func TestEngineBatchMatchesTreeOracle(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 8})
 	total := 0
 	for ci, class := range []gen.DTDClass{gen.ClassNonRecursive, gen.ClassWeak, gen.ClassStrong} {
@@ -78,7 +80,7 @@ func TestEngineBatchMatchesCheckString(t *testing.T) {
 			t.Fatalf("stats: %+v", stats)
 		}
 		for i, r := range results {
-			seq, err := schema.CheckString(docs[i].Content)
+			seq, err := treeVerdict(schema, docs[i].Content)
 			got := fmt.Sprintf("pv=%t valid=%t malformed=%t", r.PotentiallyValid, r.Valid, r.Err != nil)
 			want := fmt.Sprintf("pv=%t valid=%t malformed=%t", seq.PotentiallyValid, seq.Valid, err != nil)
 			if got != want {
@@ -89,6 +91,100 @@ func TestEngineBatchMatchesCheckString(t *testing.T) {
 	if total < 200 {
 		t.Fatalf("corpus too small: %d documents", total)
 	}
+}
+
+// TestSchemaChecksShareEnginePool runs a schema's checks and completions
+// from 8 goroutines while the engine's batch workers draw checkers and
+// completers from the same pools. Every answer must equal the sequential
+// one. CI repeats it under -race.
+func TestSchemaChecksShareEnginePool(t *testing.T) {
+	e := NewEngine(EngineConfig{Workers: 4})
+	schema, err := e.CompileDTD(Figure1DTD, "r", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dtd.MustParse(Figure1DTD)
+	rng := rand.New(rand.NewSource(29))
+	type answer struct {
+		check    Result
+		checkErr bool
+		out      string
+		inserted int
+		failed   bool
+	}
+	var docs []Doc
+	var want []answer
+	kinds := map[[2]bool]int{}
+	for i := 0; i < 24; i++ {
+		root := gen.GenValid(rng, d, "r", gen.DocOptions{MaxDepth: 6, MaxRepeat: 3})
+		switch i % 3 {
+		case 1:
+			gen.Strip(rng, root, 0.5)
+		case 2:
+			gen.Corrupt(rng, d, root)
+		}
+		xml := root.String()
+		docs = append(docs, Doc{ID: fmt.Sprint(i), Content: xml})
+		var a answer
+		var cerr error
+		a.check, cerr = schema.CheckString(xml)
+		a.checkErr = cerr != nil
+		out, diff, err := schema.CompleteBytes([]byte(xml))
+		if a.failed = err != nil; !a.failed {
+			a.out, a.inserted = string(out), diff.Inserted
+		}
+		want = append(want, a)
+		kinds[[2]bool{a.check.PotentiallyValid, a.check.Valid}]++
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("corpus needs valid, invalid PV and not-PV documents; (pv, valid) counts %v", kinds)
+	}
+	compare := func(who string, i int, got answer) {
+		if got != want[i] {
+			t.Errorf("%s doc %d: %+v, sequential %+v", who, i, got, want[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for i, doc := range docs {
+					var a answer
+					var cerr error
+					a.check, cerr = schema.CheckString(doc.Content)
+					a.checkErr = cerr != nil
+					if !a.checkErr {
+						if r := schema.CheckDocument(MustParseDocument(doc.Content)); r != a.check {
+							t.Errorf("goroutine %d doc %d: CheckDocument %+v, CheckString %+v", g, i, r, a.check)
+						}
+					}
+					out, diff, err := schema.CompleteBytes([]byte(doc.Content))
+					if a.failed = err != nil; !a.failed {
+						a.out, a.inserted = string(out), diff.Inserted
+					}
+					compare(fmt.Sprintf("goroutine %d", g), i, a)
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 4; round++ {
+		checks, _ := e.CheckBatch(schema, docs)
+		completions, _ := e.CompleteBatch(schema, docs, true)
+		for i := range docs {
+			c, k := checks[i], completions[i]
+			a := answer{
+				check:    Result{PotentiallyValid: c.PotentiallyValid, Valid: c.Valid, Detail: c.Detail},
+				checkErr: c.Err != nil,
+				out:      k.Output,
+				inserted: k.Inserted,
+				failed:   !k.Completed,
+			}
+			compare("batch", i, a)
+		}
+	}
+	wg.Wait()
 }
 
 // TestEngineCheckAllAndStats smoke-tests the convenience path and lifetime
