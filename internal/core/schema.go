@@ -6,7 +6,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/rand/v2"
 	"sort"
 	"strings"
 
@@ -57,17 +60,17 @@ type Schema struct {
 
 	opts  Options
 	depth int // effective top-level recognizer depth
-	// interned maps each declared element name to its symbol-table row.
-	// The byte-path checker looks names up with a []byte key (map[string]T
-	// indexing with string(b) compiles to an allocation-free lookup), so
-	// start/end tags never materialize a string on the hot path, and the
-	// names the checker retains are the schema's own — they never alias a
-	// document buffer. The row also carries the element's interned symbol
-	// ID, so one lookup serves both the DFA fast path and the fallback.
-	interned map[string]internedName
 	// symNames maps a symbol ID back to its element name (index 0, σ, is
 	// empty) — the replay direction when a checker leaves its DFA lane.
 	symNames []string
+	// symSlots is an open-addressing hash table over symNames, read by
+	// symbolID: each slot holds a name and its symbol ID, ID 0 marks an
+	// empty slot, and its power-of-two length is at least twice the number
+	// of elements. The per-schema random multipliers and seed (slotOf)
+	// keep a crafted DTD from piling its names into one probe run.
+	symSlots []symSlot
+	symMul   [3]uint64
+	symSeed  maphash.Seed
 	// cats holds each symbol ID's content category, which decides the
 	// validity of text inside the element.
 	cats []dtd.Category
@@ -80,11 +83,11 @@ type Schema struct {
 	lanes []*contentmodel.Automaton
 }
 
-// internedName is one symbol-table row: the schema's own copy of a
-// declared element name plus its DFA symbol ID (σ is ID 0; elements are
-// 1-based in declaration order).
-type internedName struct {
+// symSlot is one slot of the name table: a declared name, its nameKey
+// head and its symbol ID.
+type symSlot struct {
 	name string
+	head uint64
 	id   int32
 }
 
@@ -159,26 +162,79 @@ func unproductive(d *dtd.DTD, lt *reach.Table) []string {
 	return out
 }
 
-// initSymbols builds the symbol table (interned names, ID mappings and
+// initSymbols builds the symbol table (ID mappings, the name table and
 // content categories) and the position-set lanes of elements without a
 // DFA from the DTD and the fast-path tables; shared by Compile and the
-// binary decoder.
+// binary decoder. Symbol IDs are 1-based in declaration order; σ is 0.
 func (s *Schema) initSymbols() {
 	m := len(s.DTD.Order)
-	s.interned = make(map[string]internedName, m)
 	s.symNames = make([]string, m+1)
+	size := 2
+	for size < 2*m {
+		size <<= 1
+	}
+	s.symSlots = make([]symSlot, size)
+	s.symMul = [3]uint64{rand.Uint64() | 1, rand.Uint64() | 1, rand.Uint64() | 1}
+	s.symSeed = maphash.MakeSeed()
 	s.cats = make([]dtd.Category, m+1)
 	s.lanes = make([]*contentmodel.Automaton, m+1)
 	for i, name := range s.DTD.Order {
 		id := int32(i + 1)
 		decl := s.DTD.Elements[name]
-		s.interned[name] = internedName{name: name, id: id}
 		s.symNames[id] = name
+		head, tail := nameKey([]byte(name))
+		slot := s.slotOf([]byte(name), head, tail) & uint32(size-1)
+		for s.symSlots[slot].id != 0 {
+			slot = (slot + 1) & uint32(size-1)
+		}
+		s.symSlots[slot] = symSlot{name: name, head: head, id: id}
 		s.cats[id] = decl.Category
 		if (decl.Category == dtd.Children || decl.Category == dtd.Mixed) && s.fastMachine(id) == nil {
 			s.lanes[id] = contentmodel.CompileAutomaton(decl.Model)
 		}
 	}
+}
+
+// symbolID returns the symbol ID of the element declared as name, or 0
+// when none is. It hashes the bytes in place, so a lexed name never
+// becomes a string, and a checker that keeps symNames[id] keeps the
+// schema's copy of the name, never the document's.
+func (s *Schema) symbolID(name []byte) int32 {
+	head, tail := nameKey(name)
+	mask := uint32(len(s.symSlots) - 1)
+	for slot := s.slotOf(name, head, tail) & mask; ; slot = (slot + 1) & mask {
+		e := &s.symSlots[slot]
+		if e.id == 0 {
+			return 0
+		}
+		// A name of up to eight bytes is its head and length.
+		if e.head == head && len(e.name) == len(name) && (len(name) <= 8 || e.name == string(name)) {
+			return e.id
+		}
+	}
+}
+
+// nameKey packs a name's first and last eight bytes little-endian (the
+// head alone, zero-padded, for a name shorter than eight bytes): with the
+// length, all of a name of up to 16 bytes.
+func nameKey(name []byte) (head, tail uint64) {
+	if n := len(name); n >= 8 {
+		return binary.LittleEndian.Uint64(name), binary.LittleEndian.Uint64(name[n-8:])
+	}
+	for i := len(name) - 1; i >= 0; i-- {
+		head = head<<8 | uint64(name[i])
+	}
+	return head, 0
+}
+
+// slotOf returns the first slot to probe for a name with the given key:
+// a multiply-shift hash of the key under the schema's random multipliers,
+// or maphash for a name longer than its key.
+func (s *Schema) slotOf(name []byte, head, tail uint64) uint32 {
+	if len(name) > 16 {
+		return uint32(maphash.Bytes(s.symSeed, name))
+	}
+	return uint32((head*s.symMul[0] + tail*s.symMul[1] + uint64(len(name))*s.symMul[2]) >> 32)
 }
 
 // symbolOf maps an interned symbol ID back to its Δ_T symbol — the replay

@@ -183,8 +183,8 @@ func (c *StreamChecker) violate(format string, args ...any) error {
 }
 
 // StartElement processes a start tag. The name is resolved through the
-// schema's interned-name table without materializing a string (undeclared
-// names only surface inside the violation message).
+// schema's name table (symbolID) without materializing a string
+// (undeclared names only surface inside the violation message).
 func (c *StreamChecker) StartElement(name []byte) error {
 	if c.err != nil {
 		return c.err
@@ -197,26 +197,27 @@ func (c *StreamChecker) StartElement(name []byte) error {
 			return c.violate("root element is <%s>, schema requires <%s>", name, c.schema.Root)
 		}
 	}
-	in, declared := c.schema.interned[string(name)]
-	if !declared {
+	id := c.schema.symbolID(name)
+	if id == 0 {
 		return c.violate("element <%s> is not declared in the DTD", name)
 	}
 	// Use the schema's own copy of the name from here on: the lexed name
 	// aliases the document, and anything the checker retains (open-element
 	// names, recognizer elements — including freelisted recognizers that
 	// outlive Reset) must not pin the document buffer.
+	elem := c.schema.symNames[id]
 	if len(c.frames) > 0 {
-		if !c.feedTop(in.id) {
-			return c.violate("content of <%s> is not potentially valid at <%s>", c.frames[len(c.frames)-1].name, in.name)
+		if !c.feedTop(id) {
+			return c.violate("content of <%s> is not potentially valid at <%s>", c.frames[len(c.frames)-1].name, elem)
 		}
 		c.frames[len(c.frames)-1].lastWasText = false
-	} else if in.name != c.schema.Root {
+	} else if elem != c.schema.Root {
 		c.valid = false // AllowAnyRoot relaxes potential validity only
 	}
-	f := frame{name: in.name, id: in.id, prefixStart: int32(len(c.prefix)), posStart: int32(len(c.positions))}
-	if f.mach = c.schema.fastMachine(in.id); f.mach == nil {
-		f.rec = c.newRecognizer(in.name)
-		if f.auto = c.schema.lanes[in.id]; f.auto != nil {
+	f := frame{name: elem, id: id, prefixStart: int32(len(c.prefix)), posStart: int32(len(c.positions))}
+	if f.mach = c.schema.fastMachine(id); f.mach == nil {
+		f.rec = c.newRecognizer(elem)
+		if f.auto = c.schema.lanes[id]; f.auto != nil {
 			c.positions = append(c.positions, 0) // the start position
 		}
 	}

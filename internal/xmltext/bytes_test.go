@@ -156,3 +156,81 @@ func benchDoc() string {
 	sb.WriteString(`</doc>`)
 	return sb.String()
 }
+
+// tokPos is a token's kind, offset, line, column (in bytes) and end.
+type tokPos struct {
+	kind                TokenKind
+	off, line, col, end int
+}
+
+// positionCases pin token and error positions by value, over the shapes
+// that move a line or column count: CRLF, tabs, multi-byte text and names,
+// newlines inside attribute values, comments, CDATA, PIs and a DOCTYPE
+// internal subset, the synthetic EndTag of a self-closing tag, and every
+// error site that reports the cursor rather than the token start.
+var positionCases = []struct {
+	src  string
+	want []tokPos
+	err  string
+}{
+	{src: "<a>\r\n<b/>\r\n</a>", want: []tokPos{
+		{StartTag, 0, 1, 1, 3}, {Text, 3, 1, 4, 5}, {StartTag, 5, 2, 1, 9}, {EndTag, 9, 2, 5, 9},
+		{Text, 9, 2, 5, 11}, {EndTag, 11, 3, 1, 15}}},
+	{src: "<r>\tcafé\t<é x='1'/>\n</r>", want: []tokPos{
+		{StartTag, 0, 1, 1, 3}, {Text, 3, 1, 4, 10}, {StartTag, 10, 1, 11, 21}, {EndTag, 21, 1, 22, 21},
+		{Text, 21, 1, 22, 22}, {EndTag, 22, 2, 1, 26}}},
+	{src: "<r a=\"x\ny\"\n b='z'>t</r>", want: []tokPos{
+		{StartTag, 0, 1, 1, 18}, {Text, 18, 3, 8, 19}, {EndTag, 19, 3, 9, 23}}},
+	{src: "<r><!--a\nb--><![CDATA[c\nd]]><?p e\nf?>\n<s/></r>", want: []tokPos{
+		{StartTag, 0, 1, 1, 3}, {Comment, 3, 1, 4, 13}, {Text, 13, 2, 5, 28}, {ProcInst, 28, 3, 5, 37},
+		{Text, 37, 4, 4, 38}, {StartTag, 38, 5, 1, 42}, {EndTag, 42, 5, 5, 42}, {EndTag, 42, 5, 5, 46}}},
+	{src: "<!DOCTYPE r [\n<!ELEMENT r (#PCDATA)>\n]>\n<r>x</r>", want: []tokPos{
+		{Doctype, 0, 1, 1, 39}, {Text, 39, 3, 3, 40}, {StartTag, 40, 4, 1, 43}, {Text, 43, 4, 4, 44},
+		{EndTag, 44, 4, 5, 48}}},
+	{src: "<r>\n&amp;\n&#x263A;</r>", want: []tokPos{
+		{StartTag, 0, 1, 1, 3}, {Text, 3, 1, 4, 18}, {EndTag, 18, 3, 9, 22}}},
+	{src: "<r>\r\nx\n  &bogus</r>", err: "xml: line 3, col 3: unterminated entity reference"},
+	{src: "<r>é\n&#xZZ;</r>", err: "xml: line 2, col 1: bad character reference &#xZZ;"},
+	{src: "<r>\n\tcafé &nope;</r>", err: "xml: line 2, col 8: unknown entity &nope;"},
+	{src: "<r\n a='1' /x>", err: "xml: line 2, col 8: expected '/>' in tag <r"},
+	{src: "<r a\n\n b>", err: `xml: line 3, col 2: attribute "a" missing '='`},
+	{src: "<r a=\r\nb>", err: `xml: line 2, col 1: attribute "a" value must be quoted`},
+	{src: "<r a='x\ny&amp;<'/>", err: "xml: line 2, col 7: '<' not allowed in attribute value"},
+	{src: "<r a='é\n", err: `xml: line 2, col 1: unterminated attribute value for "a"`},
+	{src: "<r>\n<\t/r>", err: `xml: line 2, col 2: expected a name, found "\t/r>"`},
+	{src: "<r>\n<!-- never", err: "xml: line 2, col 1: unterminated comment"},
+	{src: "<r>\n\t<s x='1'\n x='2'/>", err: `xml: line 2, col 2: duplicate attribute "x" in tag <s`},
+}
+
+// TestTokenPositions checks positionCases on the whole-buffer lexer and on
+// the chunked lexer at a 7-byte window, where refills slide newlines out
+// of the window mid-document.
+func TestTokenPositions(t *testing.T) {
+	for _, tc := range positionCases {
+		whole, wholeErr := TokenizeBytes([]byte(tc.src))
+		chunked, chunkedErr := tokenizeChunked(strings.NewReader(tc.src), 7)
+		for _, run := range []struct {
+			name string
+			toks []Token
+			err  error
+		}{{"whole", whole, wholeErr}, {"chunked", chunked, chunkedErr}} {
+			if tc.err != "" {
+				if run.err == nil || run.err.Error() != tc.err {
+					t.Errorf("%s %q: error %v, want %s", run.name, tc.src, run.err, tc.err)
+				}
+				continue
+			}
+			if run.err != nil {
+				t.Errorf("%s %q: %v", run.name, tc.src, run.err)
+				continue
+			}
+			got := make([]tokPos, len(run.toks))
+			for i, tok := range run.toks {
+				got[i] = tokPos{tok.Kind, tok.Pos.Offset, tok.Pos.Line, tok.Pos.Col, tok.End}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s %q:\n  got  %v\n  want %v", run.name, tc.src, got, tc.want)
+			}
+		}
+	}
+}

@@ -52,7 +52,7 @@ func (cl *ChunkedLexer) Reset(src io.Reader) {
 	cl.n = 0
 	cl.base = 0
 	cl.eof = false
-	cl.inner = ByteLexer{line: 1, col: 1, streaming: true,
+	cl.inner = ByteLexer{line: 1, streaming: true,
 		attrs: cl.inner.attrs, scratch: cl.inner.scratch}
 }
 
@@ -66,17 +66,22 @@ func (cl *ChunkedLexer) BufSize() int { return len(cl.buf) }
 // underlying reader.
 func (cl *ChunkedLexer) Next() (*ByteToken, error) {
 	for {
-		// Snapshot the consumed point: on a mid-token window end the failed
-		// attempt is rolled back to here and retried after a refill.
-		cp, line, col := cl.inner.pos, cl.inner.line, cl.inner.col
+		// Count lines up to the consumed point and snapshot it: on a
+		// mid-token window end the failed attempt is rolled back to here and
+		// retried after a refill.
+		cp := cl.inner.pos
+		cl.inner.countLines(cp)
+		line, lineStart := cl.inner.line, cl.inner.lineStart
 		tok, err := cl.inner.Next()
 		if err == errNeedMore || (err == nil && tok == nil && !cl.eof) {
 			if rerr := cl.refill(cp); rerr != nil {
 				return nil, rerr
 			}
+			// refill slid the consumed point to the front of the window.
 			cl.inner.src = cl.buf[:cl.n]
-			cl.inner.pos = 0 // refill slid the consumed point to the front
-			cl.inner.line, cl.inner.col = line, col
+			cl.inner.pos = 0
+			cl.inner.line, cl.inner.lineStart = line, lineStart-cp
+			cl.inner.nextNL = cl.inner.newlineFrom(0)
 			continue
 		}
 		if err != nil {

@@ -70,3 +70,37 @@ func FuzzChunkedLexer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLexVsReference holds ByteLexer to the reference lexer
+// (refByteLexer), which tracks line and column per byte and decodes every
+// name rune: on arbitrary input both give the same tokens (kind, name,
+// data, attributes, offset, line, column and end) and the same error
+// text. FuzzLexBytes cannot catch a position or message that moves in the
+// one lexer both of its sides run.
+func FuzzLexVsReference(f *testing.F) {
+	for _, seed := range differentialInputs {
+		f.Add(seed)
+	}
+	for _, seed := range straddleInputs() {
+		f.Add(seed)
+	}
+	for _, tc := range positionCases {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		want, wantErr := refTokenizeBytes([]byte(src))
+		got, gotErr := TokenizeBytes([]byte(src))
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("error mismatch on %q\n  reference: %v\n  lexer:     %v", src, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("error text mismatch on %q\n  reference: %v\n  lexer:     %v", src, wantErr, gotErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("token mismatch on %q\n  reference: %#v\n  lexer:     %#v", src, want, got)
+		}
+	})
+}

@@ -237,8 +237,8 @@ func result(c *core.StreamChecker, err error) (Result, error) {
 func (s *Schema) CheckStream(xml string) error { return s.CheckStreamBytes(xmltext.View(xml)) }
 
 // CheckStreamBytes is CheckStream over bytes: token names and data are
-// subslices of xml, element names resolve through the schema's
-// interned-name table, and an entity-free document is checked with no
+// subslices of xml, element names resolve through the schema's name
+// table, and an entity-free document is checked with no
 // per-token allocation. The fastest way to check an mmap'd or pooled
 // buffer.
 func (s *Schema) CheckStreamBytes(xml []byte) error {
