@@ -16,8 +16,17 @@
 // exactly [i, H], so the DP asks one question per element successor and
 // its cost is bounded: see the cost tests.
 //
-// The hot path never hashes a string: element names are interned to int32
-// ids once per Completer, and the DP memos and the H table are dense.
+// Completion runs on two paths that share the DP. CompleteBytes, the one
+// the server takes, completes over the input bytes without a tree: one
+// token pass, the DP on an item table and an insertion script spliced
+// into the input (bytes.go). Complete, CompleteTracked and
+// CompleteInPlace complete a dom tree; they are the library's tree API
+// and the byte path's test oracle.
+//
+// The DP never hashes a string: element names are interned to int32 ids
+// once per Completer, and the DP memos and the H table are dense. The
+// byte path resolves names through the schema's name table
+// (core.Schema.SymbolID) and a dense core-id → completer-id slice.
 package complete
 
 import (
@@ -50,12 +59,16 @@ type Completer struct {
 	levels           []sweepScratch
 	maxWords, maxPos int // the largest model's bitset words and positions
 
-	// Scratch for one arrange call and all its sub-DPs. arrange clears
-	// items before it returns, so an idle Completer holds no document.
-	items []*dom.Node // the arrangement's items
-	syms  []int32     // their symbol ids
-	arena []dpVal     // backing store for the DP memo tables
-	top   int         // arena entries in use
+	// Scratch for one arrangement and all its sub-DPs. syms holds the
+	// arrangement's symbol ids: symBuf on the tree path, where items holds
+	// the item nodes (arrange clears it before it returns, so an idle
+	// Completer holds no document), and a slice of the item table on the
+	// byte path.
+	items  []*dom.Node
+	symBuf []int32
+	syms   []int32
+	arena  []dpVal // backing store for the DP memo tables
+	top    int     // arena entries in use
 	// The H table: rows[d*len(elems)+e] locates H(e, ·, d) in ends. A row
 	// belongs to the current arrangement only when its gen is gen.
 	rows    []endRow
@@ -65,6 +78,8 @@ type Completer struct {
 
 	// work counts DP states computed plus sweep steps. Only tests read it.
 	work int
+
+	bytePath // CompleteBytes' state (bytes.go)
 }
 
 // elemInfo is one interned element: its declaration and, for Children and
@@ -151,6 +166,7 @@ func New(schema *core.Schema) *Completer {
 	}
 	c.deep = c.depth - 1 + len(c.elems) - 1
 	c.reserve(c.depth)
+	c.initBytePath()
 	return c
 }
 
@@ -350,7 +366,7 @@ func (c *Completer) arrange(el *elemInfo, children []*dom.Node, depth int, log *
 	c.items = items
 	// Map the items to symbol ids once: text is 0, an element its id, and
 	// an element no declaration or model names -1 (it matches nothing).
-	c.syms = c.syms[:0]
+	c.symBuf = c.symBuf[:0]
 	for _, it := range items {
 		id := int32(0)
 		if it.Kind == dom.ElementNode {
@@ -360,23 +376,10 @@ func (c *Completer) arrange(el *elemInfo, children []*dom.Node, depth int, log *
 				id = -1
 			}
 		}
-		c.syms = append(c.syms, id)
+		c.symBuf = append(c.symBuf, id)
 	}
-	c.resetScratch()
-	d := c.newDP(el, items, c.syms, depth, 0)
-	plan, ok := d.solveStart()
-	if !ok && c.deep > depth {
-		// The checker lets a star group take any symbol reachable from one
-		// of its members without spending depth (Proposition 2(2)). So a
-		// node it accepts may need wrappers nested deeper than the bound:
-		// below the bound's depth-1 hypothesized levels, a chain of at most
-		// one wrapper per element type. Nodes that fit the bound keep their
-		// plans; the others are arranged again with that budget.
-		c.reserve(c.deep)
-		c.resetScratch()
-		d = c.newDP(el, items, c.syms, c.deep, 0)
-		plan, ok = d.solveStart()
-	}
+	c.syms = c.symBuf
+	d, plan, ok := c.solveArrangement(el, depth)
 	var out []*dom.Node
 	if ok {
 		// Re-attach decorations: items keep their original relative order;
@@ -389,6 +392,26 @@ func (c *Completer) arrange(el *elemInfo, children []*dom.Node, depth int, log *
 		return nil, fmt.Errorf("no embedding of %d children into model of <%s>", len(items), el.name)
 	}
 	return out, nil
+}
+
+// solveArrangement runs the DP for the arrangement of c.syms into el's
+// model within depth budget depth. The checker lets a star group take any
+// symbol reachable from one of its members without spending depth
+// (Proposition 2(2)). So a node it accepts may need wrappers nested deeper
+// than the bound: below the bound's depth-1 hypothesized levels, a chain
+// of at most one wrapper per element type. Nodes that fit the bound keep
+// their plans; the others are arranged again with that budget.
+func (c *Completer) solveArrangement(el *elemInfo, depth int) (dp, dpVal, bool) {
+	c.resetScratch()
+	d := c.newDP(el, c.syms, depth, 0)
+	plan, ok := d.solveStart()
+	if !ok && c.deep > depth {
+		c.reserve(c.deep)
+		c.resetScratch()
+		d = c.newDP(el, c.syms, c.deep, 0)
+		plan, ok = d.solveStart()
+	}
+	return d, plan, ok
 }
 
 // splitItems separates model-relevant children (elements; non-whitespace
@@ -419,7 +442,7 @@ func splitItems(items, children []*dom.Node, mixed bool) ([]*dom.Node, map[int][
 	return items, decorations
 }
 
-func isWhitespace(s string) bool {
+func isWhitespace[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\r', '\n':
@@ -430,16 +453,16 @@ func isWhitespace(s string) bool {
 	return true
 }
 
-// dp is the per-node dynamic program.
+// dp is the per-node dynamic program over a run of the arrangement's
+// items, given by their symbol ids.
 type dp struct {
-	c     *Completer
-	el    *elemInfo
-	items []*dom.Node
-	syms  []int32 // symbol ids of items
-	// memo holds one entry per state (p, i) at index p*(len(items)+1)+i.
+	c    *Completer
+	el   *elemInfo
+	syms []int32
+	// memo holds one entry per state (p, i) at index p*(len(syms)+1)+i.
 	memo  []dpVal
 	depth int
-	// off is the absolute offset of items[0] within the top-level
+	// off is the absolute offset of syms[0] within the top-level
 	// arrangement's item list, the H table's coordinates.
 	off int
 }
@@ -494,19 +517,20 @@ func (c *Completer) resetScratch() {
 	}
 }
 
-// newDP starts a (sub-)DP over items, taking its memo table from the
-// completer's arena. Tables are released in reverse order of creation —
-// sub-DPs nest strictly — so the arena works as a stack; when it must
-// grow, tables already handed out keep the old backing array.
-func (c *Completer) newDP(el *elemInfo, items []*dom.Node, syms []int32, depth, off int) *dp {
-	size := len(el.succ) * (len(items) + 1)
+// newDP starts a (sub-)DP over the items with symbol ids syms, taking its
+// memo table from the completer's arena. Tables are released in reverse
+// order of creation — sub-DPs nest strictly — so the arena works as a
+// stack; when it must grow, tables already handed out keep the old
+// backing array. A dp is a value, so that it stays on the stack.
+func (c *Completer) newDP(el *elemInfo, syms []int32, depth, off int) dp {
+	size := len(el.succ) * (len(syms) + 1)
 	if c.top+size > len(c.arena) {
 		c.arena = make([]dpVal, max(2*len(c.arena), c.top+size))
 	}
 	memo := c.arena[c.top : c.top+size : c.top+size]
 	clear(memo)
 	c.top += size
-	return &dp{c: c, el: el, items: items, syms: syms, memo: memo, depth: depth, off: off}
+	return dp{c: c, el: el, syms: syms, memo: memo, depth: depth, off: off}
 }
 
 // release returns d's memo table to the arena.
@@ -521,7 +545,7 @@ func (d *dp) solveStart() (dpVal, bool) {
 // solve decides whether input items[i:] can be embedded starting after
 // position p (0 is the virtual start).
 func (d *dp) solve(p, i int) dpVal {
-	k := p*(len(d.items)+1) + i
+	k := p*(len(d.syms)+1) + i
 	if v := d.memo[k]; v.kind != unset {
 		return v
 	}
@@ -534,7 +558,7 @@ func (d *dp) solve(p, i int) dpVal {
 
 func (d *dp) compute(p, i int) dpVal {
 	d.c.work++
-	if i == len(d.items) && d.el.end[p] {
+	if i == len(d.syms) && d.el.end[p] {
 		return dpVal{kind: accept}
 	}
 	succ := d.el.succ[p]
@@ -542,7 +566,7 @@ func (d *dp) compute(p, i int) dpVal {
 	// directly (an element at its own symbol, text at a PCDATA position).
 	// Preferring consumption keeps completions minimal: real markup lands
 	// at its natural slot before any wrapper is considered.
-	if i < len(d.items) {
+	if i < len(d.syms) {
 		for _, q := range succ {
 			if d.syms[i] == d.el.sym[q] {
 				if d.solve(q, i+1).ok() {
@@ -573,7 +597,7 @@ func (d *dp) compute(p, i int) dpVal {
 		}
 		j := i
 		if d.depth > 0 {
-			j = min(d.c.hostEnd(sym, d.off+i, d.depth-1)-d.off, len(d.items))
+			j = min(d.c.hostEnd(sym, d.off+i, d.depth-1)-d.off, len(d.syms))
 		}
 		if d.solve(q, j).ok() {
 			return dpVal{kind: host, q: int32(q), j: j}
@@ -722,9 +746,10 @@ func (c *Completer) sweep(el *elemInfo, i, d int) int {
 	return h
 }
 
-// render reconstructs the completed child list from the DP decisions.
+// render reconstructs the completed child list from the DP decisions, on
+// the tree path: the items are c.items[d.off:].
 func (d *dp) render(start dpVal, log *insLog) []*dom.Node {
-	out := make([]*dom.Node, 0, len(d.items))
+	out := make([]*dom.Node, 0, len(d.syms))
 	p, i := 0, 0
 	v := start
 	for {
@@ -734,7 +759,7 @@ func (d *dp) render(start dpVal, log *insLog) []*dom.Node {
 		case skip:
 			p = int(v.q)
 		case consume:
-			out = append(out, d.items[i])
+			out = append(out, d.c.items[d.off+i])
 			i++
 			p = int(v.q)
 		case host:
@@ -745,11 +770,17 @@ func (d *dp) render(start dpVal, log *insLog) []*dom.Node {
 		default:
 			panic("complete: render on failed plan")
 		}
-		v = d.memo[p*(len(d.items)+1)+i]
-		if v.kind == unset {
-			panic("complete: broken plan chain")
-		}
+		v = d.next(p, i)
 	}
+}
+
+// next returns the plan's decision at state (p, i).
+func (d *dp) next(p, i int) dpVal {
+	v := d.memo[p*(len(d.syms)+1)+i]
+	if v.kind == unset {
+		panic("complete: broken plan chain")
+	}
+	return v
 }
 
 // buildHost constructs the inserted element with id sym wrapping items
@@ -774,22 +805,29 @@ func (d *dp) buildHost(sym int32, i, j int, log *insLog) *dom.Node {
 	log.nodes = append(log.nodes, h)
 	if el.decl.Category == dtd.Any {
 		// ANY: the items go in as-is.
-		for _, it := range d.items[i:j] {
+		for _, it := range d.c.items[d.off+i : d.off+j] {
 			h.Append(it)
 		}
 		return h
 	}
-	sub := d.c.newDP(el, d.items[i:j], d.syms[i:j], d.depth-1, d.off+i)
-	defer d.c.release(sub)
-	plan, ok := sub.solveStart()
-	if !ok {
-		panic("complete: host became infeasible during render")
-	}
+	sub, plan := d.host(el, i, j)
+	defer d.c.release(&sub)
 	h.Children = sub.render(plan, log)
 	for _, ch := range h.Children {
 		ch.Parent = h
 	}
 	return h
+}
+
+// host solves the sub-DP of the inserted element el wrapping items
+// [i, j), which cannot fail (see buildHost). The caller releases it.
+func (d *dp) host(el *elemInfo, i, j int) (dp, dpVal) {
+	sub := d.c.newDP(el, d.syms[i:j], d.depth-1, d.off+i)
+	plan, ok := sub.solveStart()
+	if !ok {
+		panic("complete: host became infeasible during render")
+	}
+	return sub, plan
 }
 
 // synthesizeMinimal builds a minimal valid instance of elem (memoized,

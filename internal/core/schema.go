@@ -64,7 +64,7 @@ type Schema struct {
 	// empty) — the replay direction when a checker leaves its DFA lane.
 	symNames []string
 	// symSlots is an open-addressing hash table over symNames, read by
-	// symbolID: each slot holds a name and its symbol ID, ID 0 marks an
+	// SymbolID: each slot holds a name and its symbol ID, ID 0 marks an
 	// empty slot, and its power-of-two length is at least twice the number
 	// of elements. The per-schema random multipliers and seed (slotOf)
 	// keep a crafted DTD from piling its names into one probe run.
@@ -195,11 +195,12 @@ func (s *Schema) initSymbols() {
 	}
 }
 
-// symbolID returns the symbol ID of the element declared as name, or 0
+// SymbolID returns the symbol ID of the element declared as name, or 0
 // when none is. It hashes the bytes in place, so a lexed name never
 // becomes a string, and a checker that keeps symNames[id] keeps the
-// schema's copy of the name, never the document's.
-func (s *Schema) symbolID(name []byte) int32 {
+// schema's copy of the name, never the document's. The stream checker and
+// the completer's byte path resolve element names through it.
+func (s *Schema) SymbolID(name []byte) int32 {
 	head, tail := nameKey(name)
 	mask := uint32(len(s.symSlots) - 1)
 	for slot := s.slotOf(name, head, tail) & mask; ; slot = (slot + 1) & mask {

@@ -113,7 +113,8 @@ type StreamChecker struct {
 	// both across documents.
 	lx  xmltext.ByteLexer
 	clx *xmltext.ChunkedLexer
-	// hideSpace is IgnoreWhitespaceText for ValidTree's run only.
+	// hideSpace is IgnoreWhitespaceText for ValidTree's and ValidBytes'
+	// runs only.
 	hideSpace bool
 }
 
@@ -183,7 +184,7 @@ func (c *StreamChecker) violate(format string, args ...any) error {
 }
 
 // StartElement processes a start tag. The name is resolved through the
-// schema's name table (symbolID) without materializing a string
+// schema's name table (SymbolID) without materializing a string
 // (undeclared names only surface inside the violation message).
 func (c *StreamChecker) StartElement(name []byte) error {
 	if c.err != nil {
@@ -197,7 +198,7 @@ func (c *StreamChecker) StartElement(name []byte) error {
 			return c.violate("root element is <%s>, schema requires <%s>", name, c.schema.Root)
 		}
 	}
-	id := c.schema.symbolID(name)
+	id := c.schema.SymbolID(name)
 	if id == 0 {
 		return c.violate("element <%s> is not declared in the DTD", name)
 	}
@@ -441,6 +442,16 @@ func (c *StreamChecker) RunTree(root *dom.Node) error {
 func (c *StreamChecker) ValidTree(root *dom.Node) bool {
 	c.hideSpace = true
 	c.RunTree(root)
+	c.hideSpace = false
+	return c.StrictlyValid()
+}
+
+// ValidBytes is ValidTree over the bytes of a well-formed document: the
+// validator's verdict, also where RunBytes finds src not potentially
+// valid only because whitespace-only text in element content reads as σ.
+func (c *StreamChecker) ValidBytes(src []byte) bool {
+	c.hideSpace = true
+	c.RunBytes(src)
 	c.hideSpace = false
 	return c.StrictlyValid()
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/gen"
 )
 
-// TestSymbolLookup pins the name table (symbolID) over the fixture DTDs
+// TestSymbolLookup pins the name table (SymbolID) over the fixture DTDs
 // and random generated ones, each compiled and round-tripped through the
 // binary codec: every declared name resolves to its symbol ID, and every
 // undeclared probe resolves to none and is rejected with the stream
@@ -71,8 +71,8 @@ func TestSymbolLookup(t *testing.T) {
 func checkSymbols(t *testing.T, s *Schema, label string) {
 	t.Helper()
 	for i, name := range s.DTD.Order {
-		if got := s.symbolID([]byte(name)); got != int32(i+1) {
-			t.Errorf("%s %s schema: symbolID(%q) = %d, want %d", label, s.Root, name, got, i+1)
+		if got := s.SymbolID([]byte(name)); got != int32(i+1) {
+			t.Errorf("%s %s schema: SymbolID(%q) = %d, want %d", label, s.Root, name, got, i+1)
 		}
 	}
 	probes := []string{"élément", "\xff\xfe", "\xc3"}
@@ -87,7 +87,7 @@ func checkSymbols(t *testing.T, s *Schema, label string) {
 		if _, declared := s.DTD.Elements[probe]; declared {
 			continue
 		}
-		if got := s.symbolID([]byte(probe)); got != 0 {
+		if got := s.SymbolID([]byte(probe)); got != 0 {
 			t.Errorf("%s %s schema: undeclared %q resolves to symbol %d", label, s.Root, probe, got)
 		}
 		c.Reset()

@@ -359,7 +359,7 @@ func TestTwoTierStateCappedModel(t *testing.T) {
 	model := "(a|b)*, a" + strings.Repeat(", (a|b)", 10)
 	d := dtd.MustParse("<!ELEMENT r (" + model + ")>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>")
 	p := newTwoTierPair(t, d, "r", Options{})
-	if p.fast.fastMachine(p.fast.symbolID([]byte("r"))) != nil {
+	if p.fast.fastMachine(p.fast.SymbolID([]byte("r"))) != nil {
 		t.Fatalf("model %s determinized under the state cap; the test needs one over it", model)
 	}
 	rng := rand.New(rand.NewSource(3))

@@ -1,4 +1,4 @@
-package diff
+package diff_test
 
 import (
 	"encoding/json"
@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/complete"
 	"repro/internal/core"
+	"repro/internal/diff"
 	"repro/internal/dom"
 	"repro/internal/dtd"
 )
@@ -33,7 +34,7 @@ func completeTracked(t *testing.T, dtdSrc, root, xml string) (*dom.Node, []*dom.
 
 func TestComputeFigure3(t *testing.T) {
 	out, nodes, _ := completeTracked(t, dtd.Figure1, "r", exampleS)
-	d := Compute(out, nodes)
+	d := diff.Compute(out, nodes)
 	if d.Inserted != 2 || len(d.Insertions) != 2 {
 		t.Fatalf("diff: %+v", d)
 	}
@@ -110,7 +111,7 @@ func resolve(t *testing.T, root *dom.Node, path string) *dom.Node {
 func TestComputeAlreadyValid(t *testing.T) {
 	valid := `<r><a><c>x</c><d></d></a></r>`
 	out, nodes, _ := completeTracked(t, dtd.Figure1, "r", valid)
-	d := Compute(out, nodes)
+	d := diff.Compute(out, nodes)
 	if d.Inserted != 0 || len(d.Insertions) != 0 {
 		t.Fatalf("valid document produced insertions: %+v", d)
 	}
@@ -127,7 +128,7 @@ func TestSynthesizedMinimalInstance(t *testing.T) {
 	// <a></a> under (b), b EMPTY is trivial; use Figure1's f = (c, e) with a
 	// doc missing everything: <r><a><c>x</c></a></r> needs a <d> appended.
 	out, nodes, _ := completeTracked(t, dtd.Figure1, "r", `<r><a><c>x</c></a></r>`)
-	d := Compute(out, nodes)
+	d := diff.Compute(out, nodes)
 	if d.Inserted == 0 {
 		t.Fatal("expected insertions")
 	}
@@ -140,7 +141,7 @@ func TestSynthesizedMinimalInstance(t *testing.T) {
 
 func TestDiffJSONShape(t *testing.T) {
 	out, nodes, _ := completeTracked(t, dtd.Figure1, "r", exampleS)
-	d := Compute(out, nodes)
+	d := diff.Compute(out, nodes)
 	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)

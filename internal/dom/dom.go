@@ -9,7 +9,6 @@ package dom
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/xmltext"
@@ -270,8 +269,9 @@ func (n *Node) AppendXML(buf []byte) []byte {
 		for _, a := range n.Attrs {
 			buf = append(buf, ' ')
 			buf = append(buf, a.Name...)
-			buf = append(buf, '=')
-			buf = strconv.AppendQuote(buf, xmltext.EscapeAttr(a.Value))
+			buf = append(buf, '=', '"')
+			buf = appendEscapedAttr(buf, a.Value)
+			buf = append(buf, '"')
 		}
 		buf = append(buf, '>')
 		for _, c := range n.Children {
@@ -295,6 +295,32 @@ func appendEscapedText(buf []byte, s string) []byte {
 			buf = append(buf, "&lt;"...)
 		case '>':
 			buf = append(buf, "&gt;"...)
+		default:
+			buf = append(buf, s[i])
+		}
+	}
+	return buf
+}
+
+// appendEscapedAttr appends an attribute value for writing between double
+// quotes: &, < and " escaped, and tab, LF and CR as character references,
+// which a conforming parser reads back as themselves instead of
+// normalizing them to spaces.
+func appendEscapedAttr(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '&':
+			buf = append(buf, "&amp;"...)
+		case '<':
+			buf = append(buf, "&lt;"...)
+		case '"':
+			buf = append(buf, "&quot;"...)
+		case '\t':
+			buf = append(buf, "&#9;"...)
+		case '\n':
+			buf = append(buf, "&#10;"...)
+		case '\r':
+			buf = append(buf, "&#13;"...)
 		default:
 			buf = append(buf, s[i])
 		}

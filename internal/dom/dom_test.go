@@ -67,8 +67,17 @@ func TestElementNames(t *testing.T) {
 	}
 }
 
+// TestSerializationRoundTrip re-parses serialized trees, attribute values
+// included: backslashes, quotes, markup characters, control characters
+// and whitespace that a parser would otherwise normalize must all read
+// back as the same value.
 func TestSerializationRoundTrip(t *testing.T) {
-	for _, src := range []string{exampleW, exampleS, `<a><b>x &amp; y</b><c/></a>`} {
+	for _, src := range []string{
+		exampleW, exampleS, `<a><b>x &amp; y</b><c/></a>`,
+		`<a x="c:\dir" y="tab&#9;lf&#10;cr&#13;end" z="&#1;&#x7f;"><b/></a>`,
+		`<a x='say "hi" &amp; &lt;bye&gt;' y="it's \n\t\\"></a>`,
+		`<a x="" y="é – ✓"/>`,
+	} {
 		doc := MustParse(src)
 		re, err := Parse(doc.Root.String())
 		if err != nil {
@@ -77,6 +86,13 @@ func TestSerializationRoundTrip(t *testing.T) {
 		if !doc.Root.Equal(re.Root) {
 			t.Errorf("round trip changed tree:\n%s\n%s", doc.Root, re.Root)
 		}
+		if again := re.Root.String(); again != doc.Root.String() {
+			t.Errorf("second round trip changed the serialization:\n%s\n%s", doc.Root, again)
+		}
+	}
+	doc := MustParse(`<a x="c:\dir" y='q"&#9;&#10;&#13;&amp;&lt;'></a>`)
+	if got, want := doc.Root.String(), `<a x="c:\dir" y="q&quot;&#9;&#10;&#13;&amp;&lt;"></a>`; got != want {
+		t.Errorf("attribute serialization = %s\nwant                      %s", got, want)
 	}
 }
 

@@ -16,71 +16,114 @@ type Document struct {
 	Epilog []*Node
 }
 
-// treeBuilder assembles a Document from a token stream, one token at a
-// time, enforcing well-formedness: properly nested matching tags, a single
+// WellFormed applies the tree builder's well-formedness rules to a token
+// stream, one token at a time: properly nested matching tags, a single
 // root element, and nothing but whitespace, comments and PIs outside the
-// root. It consumes the zero-copy lexer's reused tokens directly and
-// materializes only the names, data and attributes the tree retains.
-type treeBuilder struct {
-	doc   Document
-	stack []*Node
+// root. ParseBytes and the completer's byte path (internal/complete) both
+// read their verdicts, and so their error texts, from here. The open
+// element names alias the lexed input, so the input must stay unchanged
+// while they are held; Reset drops them.
+type WellFormed struct {
+	open [][]byte // names of the open elements, innermost last
+	root []byte   // the root element's name, once seen
 }
 
-func (b *treeBuilder) push(n *Node) error {
-	if len(b.stack) > 0 {
-		b.stack[len(b.stack)-1].Append(n)
-		return nil
-	}
-	switch n.Kind {
-	case ElementNode:
-		if b.doc.Root != nil {
-			return fmt.Errorf("xml: multiple root elements (<%s> after <%s>)", n.Name, b.doc.Root.Name)
+// Reset readies w for a new document, keeping its stack's capacity and
+// dropping every reference into the previous input.
+func (w *WellFormed) Reset() {
+	clear(w.open[:cap(w.open)])
+	w.open = w.open[:0]
+	w.root = nil
+}
+
+// Token checks one token and returns the tree builder's error for it, if
+// any.
+func (w *WellFormed) Token(tok *xmltext.ByteToken) error {
+	switch tok.Kind {
+	case xmltext.StartTag:
+		if len(w.open) == 0 {
+			if w.root != nil {
+				return fmt.Errorf("xml: multiple root elements (<%s> after <%s>)", tok.Name, w.root)
+			}
+			w.root = tok.Name
 		}
-		b.doc.Root = n
-	case TextNode:
-		if !isWhitespace(n.Data) {
-			return fmt.Errorf("xml: character data outside the root element: %.20q", n.Data)
+		w.open = append(w.open, tok.Name)
+	case xmltext.EndTag:
+		n := len(w.open)
+		if n == 0 {
+			return fmt.Errorf("xml: %s: unexpected end tag </%s>", tok.Pos, tok.Name)
 		}
-		// whitespace between top-level constructs is dropped
-	default:
-		if b.doc.Root == nil {
-			b.doc.Prolog = append(b.doc.Prolog, n)
-		} else {
-			b.doc.Epilog = append(b.doc.Epilog, n)
+		if string(w.open[n-1]) != string(tok.Name) {
+			return fmt.Errorf("xml: %s: end tag </%s> does not match open <%s>", tok.Pos, tok.Name, w.open[n-1])
+		}
+		w.open = w.open[:n-1]
+	case xmltext.Text:
+		if len(w.open) == 0 && !isWhitespace(tok.Data) {
+			return fmt.Errorf("xml: character data outside the root element: %.20q", tok.Data)
 		}
 	}
 	return nil
 }
 
+// End checks the end of the document: every element closed and a root
+// element seen.
+func (w *WellFormed) End() error {
+	if n := len(w.open); n > 0 {
+		return fmt.Errorf("xml: unclosed element <%s>", w.open[n-1])
+	}
+	if w.root == nil {
+		return fmt.Errorf("xml: no root element")
+	}
+	return nil
+}
+
+// treeBuilder assembles a Document from a token stream, one token at a
+// time, once WellFormed has accepted the token. It consumes the zero-copy
+// lexer's reused tokens directly and materializes only the names, data
+// and attributes the tree retains.
+type treeBuilder struct {
+	wf    WellFormed
+	doc   Document
+	stack []*Node
+}
+
+func (b *treeBuilder) push(n *Node) {
+	switch {
+	case len(b.stack) > 0:
+		b.stack[len(b.stack)-1].Append(n)
+	case n.Kind == ElementNode:
+		b.doc.Root = n
+	case n.Kind == TextNode:
+		// whitespace between top-level constructs is dropped
+	case b.doc.Root == nil:
+		b.doc.Prolog = append(b.doc.Prolog, n)
+	default:
+		b.doc.Epilog = append(b.doc.Epilog, n)
+	}
+}
+
 // add consumes one token. The token is transient (the lexer reuses it and
 // its slices alias the input), so everything the tree keeps is copied.
 func (b *treeBuilder) add(tok *xmltext.ByteToken) error {
+	if err := b.wf.Token(tok); err != nil {
+		return err
+	}
 	switch tok.Kind {
 	case xmltext.StartTag:
 		t := tok.Token()
 		n := &Node{Kind: ElementNode, Name: t.Name, Attrs: t.Attrs}
-		if err := b.push(n); err != nil {
-			return err
-		}
+		b.push(n)
 		b.stack = append(b.stack, n)
 	case xmltext.EndTag:
-		if len(b.stack) == 0 {
-			return fmt.Errorf("xml: %s: unexpected end tag </%s>", tok.Pos, tok.Name)
-		}
-		top := b.stack[len(b.stack)-1]
-		if top.Name != string(tok.Name) {
-			return fmt.Errorf("xml: %s: end tag </%s> does not match open <%s>", tok.Pos, tok.Name, top.Name)
-		}
 		b.stack = b.stack[:len(b.stack)-1]
 	case xmltext.Text:
-		if len(tok.Data) == 0 {
-			return nil
+		if len(tok.Data) > 0 {
+			b.push(&Node{Kind: TextNode, Data: string(tok.Data)})
 		}
-		return b.push(&Node{Kind: TextNode, Data: string(tok.Data)})
 	case xmltext.Comment:
-		return b.push(&Node{Kind: CommentNode, Data: string(tok.Data)})
+		b.push(&Node{Kind: CommentNode, Data: string(tok.Data)})
 	case xmltext.ProcInst:
-		return b.push(&Node{Kind: ProcInstNode, Name: string(tok.Name), Data: string(tok.Data)})
+		b.push(&Node{Kind: ProcInstNode, Name: string(tok.Name), Data: string(tok.Data)})
 	case xmltext.Doctype:
 		// A DOCTYPE declaration in the instance is tolerated and ignored;
 		// the DTD is supplied separately in this system.
@@ -90,11 +133,8 @@ func (b *treeBuilder) add(tok *xmltext.ByteToken) error {
 
 // finish validates the end state and returns the document.
 func (b *treeBuilder) finish() (*Document, error) {
-	if len(b.stack) > 0 {
-		return nil, fmt.Errorf("xml: unclosed element <%s>", b.stack[len(b.stack)-1].Name)
-	}
-	if b.doc.Root == nil {
-		return nil, fmt.Errorf("xml: no root element")
+	if err := b.wf.End(); err != nil {
+		return nil, err
 	}
 	// Merge adjacent text nodes produced by entity/CDATA boundaries so that
 	// the tree matches the paper's model, where consecutive character data
@@ -160,7 +200,7 @@ func mergeText(n *Node) {
 	n.Children = out
 }
 
-func isWhitespace(s string) bool {
+func isWhitespace[S ~string | ~[]byte](s S) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\r', '\n':

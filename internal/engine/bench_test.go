@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/gen"
 )
@@ -126,47 +125,6 @@ func BenchmarkEngineBatch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestCompletionSerializationPooledAllocs pins the byte-path completion
-// output satellite (the allocation drop BenchmarkEngineComplete reports):
-// serializing a completed document through the pooled buffer must cost at
-// most the output string itself plus a couple of amortized pool/growth
-// allocations — not the strings.Builder growth chain plus a replacer per
-// text node that doc.String() paid.
-func TestCompletionSerializationPooledAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation adds allocations; the pin runs in the non-race CI lane")
-	}
-	rng := rand.New(rand.NewSource(11))
-	d := dtd.MustParse(dtd.Play)
-	doc := gen.GenValid(rng, d, "play", gen.DocOptions{MaxDepth: 8, MaxRepeat: 4})
-	parsed, err := dom.Parse(doc.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	textNodes := 0
-	parsed.Root.Walk(func(n *dom.Node) bool {
-		if n.Kind == dom.TextNode {
-			textNodes++
-		}
-		return true
-	})
-	if textNodes < 20 {
-		t.Fatalf("corpus document too small to be meaningful (%d text nodes)", textNodes)
-	}
-	serializeDoc(parsed) // warm the pool so growth is out of the measurement
-	allocs := testing.AllocsPerRun(50, func() {
-		if out := serializeDoc(parsed); out == "" {
-			t.Fatal("empty serialization")
-		}
-	})
-	// One allocation for the output string; allow two more for pool
-	// internals. The old path's floor was ~2 allocations per text node
-	// (replacer + machine) plus the builder growth chain.
-	if allocs > 3 {
-		t.Errorf("pooled serialization allocates %.0f per document (%d text nodes), want <= 3", allocs, textNodes)
 	}
 }
 

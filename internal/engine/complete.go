@@ -1,31 +1,12 @@
 package engine
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/complete"
 	"repro/internal/core"
 	"repro/internal/diff"
-	"repro/internal/dom"
 )
-
-// outBufs pools the completion path's serialization buffers: each document
-// serializes into a recycled []byte (grown once, reused across documents
-// and workers) and pays exactly one allocation — the output string — where
-// the strings.Builder path allocated its whole growth chain plus a
-// replacer per text node.
-var outBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// serializeDoc renders the completed document through a pooled buffer.
-func serializeDoc(doc *dom.Document) string {
-	bp := outBufs.Get().(*[]byte)
-	buf := doc.AppendXML((*bp)[:0])
-	out := string(buf)
-	*bp = buf
-	outBufs.Put(bp)
-	return out
-}
 
 // The completion path is the engine's second workload: instead of a boolean
 // verdict, each potentially valid document is rewritten into a valid one
@@ -39,11 +20,10 @@ func serializeDoc(doc *dom.Document) string {
 // CompleteResult is the outcome of one document completion. Err is set for
 // lexical/well-formedness or routing problems (no verdict); Detail is set
 // when the document is not potentially valid (completion is impossible);
-// otherwise Completed is true, Output holds the completed document
-// (serialized at document level — prolog and epilog comments/PIs are
-// preserved) and Inserted counts the elements added (zero for an
-// already-valid input, whose Output is then the parsed input's own
-// serialization).
+// otherwise Completed is true, Output holds the completed document — the
+// input with the inserted tags spliced in, every input byte kept — and
+// Inserted counts the elements added (zero for an already-valid input,
+// whose Output is the input itself).
 type CompleteResult struct {
 	ID           string
 	Index        int
@@ -92,21 +72,15 @@ func (s *Schema) Checker() *core.StreamChecker { return s.checkers.Get().(*core.
 // PutChecker returns a checker obtained from Checker to the pool.
 func (s *Schema) PutChecker(c *core.StreamChecker) { s.checkers.Put(c) }
 
-// completeOne runs one completion on a pooled completer. The tree parse
-// settles well-formedness and the completer's stream checker the verdict:
-// an already-valid document comes back as its own serialization with zero
-// insertions, and the rest go through the completion DP. withDiff controls
-// whether insertion records are computed.
+// completeOne runs one completion on a pooled completer, over the
+// document's bytes (complete.Completer.CompleteBytes): no tree is built.
+// An already-valid document comes back as itself with zero insertions,
+// and the rest go through the completion DP. withDiff controls whether
+// insertion records are computed.
 func (e *Engine) completeOne(c *complete.Completer, d Doc, withDiff bool) CompleteResult {
 	src := d.data()
 	res := CompleteResult{ID: d.ID, Bytes: len(src)}
-	doc, err := dom.ParseBytes(src)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	// The tree is this call's own parse, so it completes in place.
-	nodes, valid, err := c.CompleteInPlace(doc.Root)
+	out, err := c.CompleteBytes(src, withDiff)
 	if err != nil {
 		if core.IsViolation(err) {
 			res.Detail = err.Error()
@@ -116,13 +90,13 @@ func (e *Engine) completeOne(c *complete.Completer, d Doc, withDiff bool) Comple
 		return res
 	}
 	res.Completed = true
-	res.AlreadyValid = valid
-	res.Inserted = len(nodes)
-	// Serialize at document level: prolog/epilog nodes (XML declaration
-	// PI, license comments) survive completion.
-	res.Output = serializeDoc(doc)
-	if withDiff && !valid {
-		res.Insertions = diff.ComputeDoc(doc.Root, nodes, res.Output).Insertions
+	res.AlreadyValid = out.AlreadyValid
+	res.Inserted = out.Inserted
+	res.Insertions = out.Insertions
+	if out.AlreadyValid && d.Bytes == nil {
+		res.Output = d.Content // the input is the output: no copy
+	} else {
+		res.Output = string(out.Output)
 	}
 	return res
 }

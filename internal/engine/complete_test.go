@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/complete"
+	"repro/internal/core"
+	"repro/internal/diff"
 	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/gen"
@@ -99,9 +101,37 @@ func TestCompleteBatchOutputsValidate(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchDifferential pins the worker-pool completion to the
-// sequential library path: identical outputs and inserted counts, across a
-// mixed corpus and several worker counts.
+// treeComplete is the tree oracle of one completion (see
+// TestCompleteBatchDifferential).
+func treeComplete(c *complete.Completer, content string) CompleteResult {
+	res := CompleteResult{Bytes: len(content)}
+	doc, err := dom.Parse(content)
+	if err != nil {
+		res.Err = err
+		return res
+	}
+	nodes, valid, err := c.CompleteInPlace(doc.Root)
+	if err != nil {
+		if core.IsViolation(err) {
+			res.Detail = err.Error()
+		} else {
+			res.Err = err
+		}
+		return res
+	}
+	res.Completed, res.AlreadyValid, res.Inserted = true, valid, len(nodes)
+	res.Output = doc.String()
+	if !valid {
+		res.Insertions = diff.ComputeDoc(doc.Root, nodes, res.Output).Insertions
+	}
+	return res
+}
+
+// TestCompleteBatchDifferential pins the worker-pool completion over the
+// input bytes to the tree oracle: identical outputs, inserted counts,
+// records, details and error kinds, across a mixed corpus (valid,
+// stripped and corrupted documents, each its own serialization) and
+// several worker counts.
 func TestCompleteBatchDifferential(t *testing.T) {
 	d := dtd.MustParse(dtd.Figure1)
 	rng := rand.New(rand.NewSource(7))
@@ -116,7 +146,10 @@ func TestCompleteBatchDifferential(t *testing.T) {
 		}
 		docs = append(docs, Doc{ID: fmt.Sprint(i), Content: doc.String()})
 	}
-	// Sequential reference: one fresh completer per document batchless.
+	// Sequential reference: the tree oracle, one fresh completer per
+	// document: parse, complete the tree, serialize at document level and
+	// walk it for the records — the path the engine ran before it
+	// completed over the input bytes.
 	seq := make([]CompleteResult, len(docs))
 	refEngine := New(Config{Workers: 1})
 	refSchema, err := refEngine.Compile(DTDSource, dtd.Figure1, "r", CompileOptions{})
@@ -124,9 +157,7 @@ func TestCompleteBatchDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, doc := range docs {
-		c := complete.New(refSchema.Core)
-		seq[i] = refEngine.completeOne(c, doc, true)
-		seq[i].Index = i
+		seq[i] = treeComplete(complete.New(refSchema.Core), doc.Content)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		e := New(Config{Workers: workers})
@@ -138,6 +169,7 @@ func TestCompleteBatchDifferential(t *testing.T) {
 		for i := range results {
 			got, want := results[i], seq[i]
 			if got.Completed != want.Completed || got.Inserted != want.Inserted ||
+				got.AlreadyValid != want.AlreadyValid ||
 				got.Output != want.Output || got.Detail != want.Detail ||
 				(got.Err == nil) != (want.Err == nil) {
 				t.Errorf("workers=%d doc %d diverges:\n got  %+v\n want %+v", workers, i, got, want)
@@ -301,6 +333,56 @@ func TestCompleteWhitespaceValidIsIdentity(t *testing.T) {
 	}
 	if r := resp.Results[0]; !r.Completed || !r.AlreadyValid || r.Inserted != 0 || r.Output != doc || r.Detail != "" || len(r.Insertions) != 0 {
 		t.Errorf("/complete: %+v, want already valid and unchanged", r)
+	}
+}
+
+// TestCompleteKeepsDecorations: completion only inserts tags, so a
+// comment between items that one wrapper takes stays where it was. The
+// tree path used to drop it: it re-attached each decoration after the
+// wrapper holding the item before it, and only for the wrapper's last
+// item.
+func TestCompleteKeepsDecorations(t *testing.T) {
+	h := NewServer(New(Config{Workers: 2}))
+	doc := `<r><a><c>x</c>tail<!-- lost --><e></e></a></r>`
+	var resp completeResponse
+	body := completeBody(t, dtd.Figure1, "r", []map[string]any{{"id": "x", "content": doc}}, nil)
+	if err := json.Unmarshal(post(t, h, "/complete", body).Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	want := `<r><a><c>x</c><d>tail<!-- lost --><e></e></d></a></r>`
+	if len(resp.Results) != 1 || resp.Results[0].Output != want || resp.Results[0].Inserted != 1 {
+		t.Fatalf("/complete: %+v\nwant output %s", resp.Results, want)
+	}
+	if got := resp.Results[0].Insertions; len(got) != 1 || got[0] != (diff.Insertion{Path: "/r/a[0]", Index: 1, Name: "d"}) {
+		t.Errorf("records %+v", got)
+	}
+}
+
+// TestCompleteSplitTextIsOneItem: text that only a comment or a PI
+// splits is one character-data item, as /check reads it, so a document
+// /check calls potentially valid completes. The tree path made each piece
+// its own item, found no embedding into <c>'s #PCDATA model and counted
+// the document as malformed.
+func TestCompleteSplitTextIsOneItem(t *testing.T) {
+	h := NewServer(New(Config{Workers: 2}))
+	for _, deco := range []string{"<!--x-->", "<?p x?>"} {
+		doc := `<r><a><c>foo` + deco + `bar</c></a></r>`
+		var check resultJSON
+		if err := json.Unmarshal(post(t, h, "/check", checkBody(t, dtd.Figure1, "r", doc)).Body.Bytes(), &check); err != nil {
+			t.Fatal(err)
+		}
+		if !check.PotentiallyValid {
+			t.Fatalf("/check %s: %+v, want potentially valid", doc, check)
+		}
+		var resp completeResponse
+		body := completeBody(t, dtd.Figure1, "r", []map[string]any{{"id": "x", "content": doc}}, nil)
+		if err := json.Unmarshal(post(t, h, "/complete", body).Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		want := `<r><a><c>foo` + deco + `bar</c><d></d></a></r>`
+		if len(resp.Results) != 1 || !resp.Results[0].Completed || resp.Results[0].Output != want || resp.Stats.Malformed != 0 {
+			t.Errorf("/complete %s: %+v, stats %+v\nwant output %s", doc, resp.Results, resp.Stats, want)
+		}
 	}
 }
 

@@ -135,9 +135,3 @@ func EscapeText(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 	return r.Replace(s)
 }
-
-// EscapeAttr escapes an attribute value for serialization in double quotes.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
-}

@@ -154,9 +154,6 @@ func TestEscapeHelpers(t *testing.T) {
 	if got := EscapeText(`a < b & c > d`); got != "a &lt; b &amp; c &gt; d" {
 		t.Errorf("EscapeText = %q", got)
 	}
-	if got := EscapeAttr(`say "hi" & <go>`); got != `say &quot;hi&quot; &amp; &lt;go>` {
-		t.Errorf("EscapeAttr = %q", got)
-	}
 }
 
 func TestUnicodeNames(t *testing.T) {

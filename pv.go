@@ -34,6 +34,7 @@
 package pv
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -43,7 +44,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diff"
-	"repro/internal/dom"
 	"repro/internal/dtd"
 	"repro/internal/engine"
 	"repro/internal/jobs"
@@ -334,26 +334,23 @@ func (s *Schema) CompleteDiff(doc *Document) (*Document, *Diff, error) {
 	return &Document{root: ext}, diff.Compute(ext, nodes), nil
 }
 
-// CompleteBytes parses an XML document held as bytes, completes it, and
-// returns the completed serialization plus the structured diff — the
-// byte-path completion entry. The output is serialized at document level,
-// so prolog and epilog comments/PIs (including an XML declaration)
-// survive. The returned error covers lexical/well-formedness problems and
-// not-potentially-valid inputs.
+// CompleteBytes completes an XML document held as bytes and returns the
+// completed document plus the structured diff — the byte-path completion
+// entry, the one the engine's /complete routes take. No tree is built:
+// the output is the input with the inserted tags spliced in, so every
+// input byte survives, prolog and epilog included, and an already-valid
+// input comes back as itself. The returned error covers
+// lexical/well-formedness problems and not-potentially-valid inputs.
 func (s *Schema) CompleteBytes(xml []byte) ([]byte, *Diff, error) {
-	parsed, err := dom.ParseBytes(xml)
-	if err != nil {
-		return nil, nil, err
-	}
 	c := s.eng.Completer()
-	nodes, _, err := c.CompleteInPlace(parsed.Root)
-	s.eng.PutCompleter(c)
+	res, err := c.CompleteBytes(xml, true)
 	if err != nil {
+		s.eng.PutCompleter(c)
 		return nil, nil, err
 	}
-	buf := parsed.AppendXML(nil)
-	d := diff.ComputeDoc(parsed.Root, nodes, string(buf))
-	return buf, d, nil
+	out := bytes.Clone(res.Output)
+	s.eng.PutCompleter(c)
+	return out, &Diff{Inserted: res.Inserted, Insertions: res.Insertions, Completed: string(out)}, nil
 }
 
 // Info summarizes the compiled schema for display.
