@@ -468,11 +468,9 @@ func FuzzCompleteBytesVsTree(f *testing.F) {
 			checkBytesVsTree(t, New(schema), New(schema), "generated document", src)
 			return
 		}
-		// The decorated oracle needs the schema root, and whitespace the
-		// checker reads: IgnoreWhitespaceText hides whitespace inside EMPTY
-		// content, which no insertion can make valid.
-		if opts.AllowAnyRoot || opts.IgnoreWhitespaceText {
-			opts.AllowAnyRoot, opts.IgnoreWhitespaceText = false, false
+		// The decorated oracle validates against the schema root.
+		if opts.AllowAnyRoot {
+			opts.AllowAnyRoot = false
 			if schema, err = core.Compile(d, "e0", opts); err != nil {
 				t.Fatal(err)
 			}

@@ -87,7 +87,7 @@ func (c *nodeChecker) check(n *dom.Node) *Violation {
 			Reason: fmt.Sprintf("element <%s> is not declared in the DTD", n.Name),
 		}
 	}
-	c.buf = appendChildSymbols(c.buf[:0], n, s.opts.IgnoreWhitespaceText)
+	c.buf = appendChildSymbols(c.buf[:0], n, s.hidesSpaceIn(n.Name))
 	if c.rec == nil {
 		c.rec = s.NewRecognizer(n.Name)
 	} else {
@@ -110,7 +110,7 @@ func (s *Schema) CheckNodeContent(n *dom.Node) bool {
 	if !s.LT.Has(n.Name) {
 		return false
 	}
-	return s.CheckContent(n.Name, ChildSymbols(n, s.opts.IgnoreWhitespaceText))
+	return s.CheckContent(n.Name, ChildSymbols(n, s.hidesSpaceIn(n.Name)))
 }
 
 // CheckString parses an XML string and checks potential validity.

@@ -35,8 +35,10 @@ type Options struct {
 	// possible chain of missing intermediate elements.
 	MaxDepth int
 	// IgnoreWhitespaceText makes whitespace-only text nodes invisible to
-	// the checker (they produce no σ symbol). Document-centric editing
-	// usually wants false: all text is content.
+	// the checker (they produce no σ symbol), except inside an EMPTY
+	// element: EMPTY content admits no character data, so no insertion
+	// makes whitespace there valid. Document-centric editing usually wants
+	// false: all text is content.
 	IgnoreWhitespaceText bool
 	// AllowAnyRoot accepts documents whose root is any declared element,
 	// not just the schema root.

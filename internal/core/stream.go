@@ -306,25 +306,29 @@ func (c *StreamChecker) newRecognizer(name string) *Recognizer {
 	return c.schema.NewRecognizer(name)
 }
 
-// Text processes a character-data event. Empty and (optionally) whitespace
-// text is invisible; adjacent text events collapse into one σ. The data is
-// only inspected, never retained or converted.
+// Text processes a character-data event. Empty text is invisible, and so
+// is whitespace with IgnoreWhitespaceText except inside an EMPTY element;
+// adjacent text events collapse into one σ. The data is only inspected,
+// never retained or converted.
 func (c *StreamChecker) Text(data []byte) error {
 	if c.err != nil {
 		return c.err
 	}
 	// Validity sees every nonempty text, before the σ collapse and before
 	// IgnoreWhitespaceText hides it: EMPTY content admits none, element
-	// content only whitespace. Empty text makes no tree node.
-	if n := len(c.frames); n > 0 && len(data) > 0 && c.valid {
+	// content only whitespace. Empty text makes no tree node. EMPTY
+	// content keeps even whitespace in the potential-validity feed, since
+	// no insertion can make text there valid.
+	hide := c.schema.opts.IgnoreWhitespaceText || c.hideSpace
+	if n := len(c.frames); n > 0 && len(data) > 0 {
 		switch c.schema.cats[c.frames[n-1].id] {
 		case dtd.Empty:
-			c.valid = false
+			c.valid, hide = false, false
 		case dtd.Children:
-			c.valid = isSpace(data)
+			c.valid = c.valid && isSpace(data)
 		}
 	}
-	if len(data) == 0 || ((c.schema.opts.IgnoreWhitespaceText || c.hideSpace) && isSpace(data)) {
+	if len(data) == 0 || (hide && isSpace(data)) {
 		return nil
 	}
 	if len(c.frames) == 0 {

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/dom"
+	"repro/internal/dtd"
 )
 
 // Symbol is one token of an element-content sequence as produced by the
@@ -53,7 +54,8 @@ func Elems(names ...string) []Symbol {
 // ChildSymbols applies Δ_T to a DOM element node: its children, in document
 // order, mapped to symbols. Consecutive text (already merged by the DOM
 // layer) yields one σ; comments and processing instructions are invisible.
-// Whitespace-only text yields no symbol when ignoreWS is set.
+// Whitespace-only text yields no symbol when ignoreWS is set; the checker
+// sets it for IgnoreWhitespaceText, except on an EMPTY element.
 func ChildSymbols(n *dom.Node, ignoreWS bool) []Symbol {
 	return appendChildSymbols(nil, n, ignoreWS)
 }
@@ -85,3 +87,13 @@ func appendChildSymbols(out []Symbol, n *dom.Node, ignoreWS bool) []Symbol {
 }
 
 func isWhitespace(s string) bool { return isSpace(s) }
+
+// hidesSpaceIn reports whether whitespace-only text inside the element
+// named name is hidden from the checker: IgnoreWhitespaceText is on and
+// the element is not EMPTY. EMPTY content admits no character data, so no
+// insertion makes whitespace there valid, and hiding it would call such a
+// document potentially valid.
+func (s *Schema) hidesSpaceIn(name string) bool {
+	decl := s.DTD.Elements[name]
+	return s.opts.IgnoreWhitespaceText && (decl == nil || decl.Category != dtd.Empty)
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -314,7 +315,7 @@ func TestRunTreeHandBuilt(t *testing.T) {
 		{"whitespace-in-empty", Options{},
 			el("r", el("a", el("c", text("x")), el("d", el("e", text(" "))))), false, false},
 		{"whitespace-in-empty-ignored", ws,
-			el("r", el("a", el("c", text("x")), el("d", el("e", text(" "))))), true, false},
+			el("r", el("a", el("c", text("x")), el("d", el("e", text(" "))))), false, false},
 		{"undeclared-element", Options{},
 			el("r", el("a", el("zz"))), false, false},
 		{"non-schema-root", Options{},
@@ -384,9 +385,10 @@ func TestTwoTierStateCappedModel(t *testing.T) {
 }
 
 // TestTwoTierStrictMatchesValidator pins the validity bit's corners where
-// potential validity sees nothing wrong: checker-invisible text inside
-// EMPTY elements, empty CDATA (no tree node), non-schema roots under
-// AllowAnyRoot, and incomplete-but-completable content.
+// potential validity sees nothing wrong: empty CDATA (no tree node),
+// non-schema roots under AllowAnyRoot, and incomplete-but-completable
+// content. Whitespace inside an EMPTY element is the one corner where both
+// fail, IgnoreWhitespaceText or not: no insertion makes it valid.
 func TestTwoTierStrictMatchesValidator(t *testing.T) {
 	fig1 := dtd.MustParse(dtd.Figure1)
 	cases := []struct {
@@ -396,23 +398,29 @@ func TestTwoTierStrictMatchesValidator(t *testing.T) {
 		opts   Options
 		xml    string
 		strict bool
+		notPV  bool
 	}{
 		{"valid-doc-strict", fig1, "r", Options{},
-			`<r><a><b><d>t</d></b><c>y</c><d><e></e></d></a></r>`, true},
+			`<r><a><b><d>t</d></b><c>y</c><d><e></e></d></a></r>`, true, false},
 		{"incomplete-not-strict", fig1, "r", Options{},
-			`<r></r>`, false}, // PV (completable) but not a complete word of (a+)
+			`<r></r>`, false, false}, // PV (completable) but not a complete word of (a+)
 		{"empty-elem-with-ws", fig1, "r", Options{IgnoreWhitespaceText: true},
-			`<r><a><b><d>t</d></b><c>y</c><d><e> </e></d></a></r>`, false}, // ws inside EMPTY <e> is invisible to the checker, fatal to the validator
+			`<r><a><b><d>t</d></b><c>y</c><d><e> </e></d></a></r>`, false, true}, // EMPTY admits no character data, whitespace included
 		{"empty-elem-cdata", fig1, "r", Options{},
-			`<r><a><b><d>t</d></b><c>y</c><d><e><![CDATA[]]></e></d></a></r>`, true}, // empty CDATA makes no text node
+			`<r><a><b><d>t</d></b><c>y</c><d><e><![CDATA[]]></e></d></a></r>`, true, false}, // empty CDATA makes no text node
 		{"anyroot-nonschema-root", fig1, "r", Options{AllowAnyRoot: true},
-			`<d><e></e>t</d>`, false}, // stream accepts any declared root; the validator still pins <r>
+			`<d><e></e>t</d>`, false, false}, // stream accepts any declared root; the validator still pins <r>
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := MustCompile(tc.dtdSrc, tc.root, tc.opts)
 			c := s.NewStreamChecker()
-			if err := c.Run(tc.xml); err != nil {
+			err := c.Run(tc.xml)
+			var v *ViolationError
+			if tc.notPV && !errors.As(err, &v) {
+				t.Fatalf("Run(%q) = %v, want a violation", tc.xml, err)
+			}
+			if !tc.notPV && err != nil {
 				t.Fatalf("Run(%q): %v", tc.xml, err)
 			}
 			if got := c.StrictlyValid(); got != tc.strict {

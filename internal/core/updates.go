@@ -78,16 +78,16 @@ func (s *Schema) CanInsertMarkup(parent *dom.Node, i, j int, name string) error 
 		return fmt.Errorf("core: element <%s> is not declared", parent.Name)
 	}
 	// ECPV for the inserted node: the wrapped children become its content.
-	inner := rangeSymbols(parent, i, j, s.opts.IgnoreWhitespaceText)
+	inner := rangeSymbols(parent, i, j, s.hidesSpaceIn(name))
 	if !s.CheckContent(name, inner) {
 		return fmt.Errorf("core: content [%s] is not potentially valid inside a new <%s>",
 			FormatSymbols(inner), name)
 	}
 	// ECPV for the parent: the wrapped range is replaced by one <name>
 	// symbol.
-	outer := rangeSymbols(parent, 0, i, s.opts.IgnoreWhitespaceText)
+	outer := rangeSymbols(parent, 0, i, s.hidesSpaceIn(parent.Name))
 	outer = append(outer, Elem(name))
-	tail := rangeSymbols(parent, j, len(parent.Children), s.opts.IgnoreWhitespaceText)
+	tail := rangeSymbols(parent, j, len(parent.Children), s.hidesSpaceIn(parent.Name))
 	outer = append(outer, tail...)
 	if !s.CheckContent(parent.Name, outer) {
 		return fmt.Errorf("core: inserting <%s> makes the content of <%s> not potentially valid: [%s]",

@@ -336,6 +336,50 @@ func TestCompleteWhitespaceValidIsIdentity(t *testing.T) {
 	}
 }
 
+// TestWhitespaceInEmptyIsNotPV: with IgnoreWhitespaceText, whitespace
+// inside an EMPTY element is still character data the element cannot
+// take, and no insertion makes the document valid. /check answers not
+// potentially valid, and /complete answers with /check's detail and
+// counts no malformed document. Whitespace in element content stays
+// hidden.
+func TestWhitespaceInEmptyIsNotPV(t *testing.T) {
+	h := NewServer(New(Config{Workers: 2}))
+	opts := map[string]any{"IgnoreWhitespaceText": true}
+	doc := `<r><a><c>x</c><d><e> </e></d></a></r>`
+	var check resultJSON
+	rec := postJSON(t, h, "/check", map[string]any{"schema": dtd.Figure1, "root": "r", "options": opts, "document": doc})
+	if err := json.Unmarshal(rec.Body.Bytes(), &check); err != nil {
+		t.Fatal(err)
+	}
+	if check.PotentiallyValid || check.Valid || check.Error != "" ||
+		check.Detail != "content of <e> is not potentially valid at character data" {
+		t.Fatalf("/check: %+v, want not potentially valid at <e>'s text", check)
+	}
+	var resp completeResponse
+	rec = postJSON(t, h, "/complete", map[string]any{"schema": dtd.Figure1, "root": "r", "options": opts,
+		"documents": []map[string]any{{"id": "e", "content": doc}}})
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 1 {
+		t.Fatalf("/complete: %s", rec.Body)
+	}
+	if r := resp.Results[0]; r.Completed || r.Error != "" || r.Detail != "complete: document is not potentially valid: "+check.Detail {
+		t.Errorf("/complete: %+v, want /check's detail", r)
+	}
+	if resp.Stats.Malformed != 0 {
+		t.Errorf("/complete counted %d malformed documents", resp.Stats.Malformed)
+	}
+	spaced := `<r><a><c>x</c><d> <e></e> </d></a></r>`
+	rec = postJSON(t, h, "/check", map[string]any{"schema": dtd.Figure1, "root": "r", "options": opts, "document": spaced})
+	if err := json.Unmarshal(rec.Body.Bytes(), &check); err != nil {
+		t.Fatal(err)
+	}
+	if !check.PotentiallyValid {
+		t.Errorf("/check %s: %+v, want whitespace in element content hidden", spaced, check)
+	}
+}
+
 // TestCompleteKeepsDecorations: completion only inserts tags, so a
 // comment between items that one wrapper takes stays where it was. The
 // tree path used to drop it: it re-attached each decoration after the

@@ -37,8 +37,9 @@ func (e *Engine) Jobs() *jobs.Manager { return e.jobs }
 
 // jobPayload is the persisted submission: everything recoverRunner needs
 // to rebuild the job on a fresh process. Documents carry their content
-// inline (Bytes base64-encoded by encoding/json); schemas travel as
-// registry refs, never as compiled artifacts.
+// inline (Bytes base64-encoded); schemas travel as registry refs, never as
+// compiled artifacts. appendJobPayload writes it and recoverRunner decodes
+// it with encoding/json.
 type jobPayload struct {
 	Op     string `json:"op"`               // "check" or "complete"
 	Schema string `json:"schema,omitempty"` // default schema's registry ref
@@ -53,7 +54,7 @@ type jobPayload struct {
 
 // payloadDoc is one persisted batch input. Doc.Bytes is json:"-" on the
 // wire type (the HTTP layer must never echo raw documents), so the
-// payload needs its own encodable shape.
+// payload needs its own decodable shape.
 type payloadDoc struct {
 	ID      string `json:"id,omitempty"`
 	Ref     string `json:"ref,omitempty"` // per-document SchemaRef
@@ -64,27 +65,15 @@ type payloadDoc struct {
 // encodeJobPayload serializes a submission for the write-ahead log — nil
 // (skip the cost) when the engine has no job store and nothing would
 // replay it anyway.
-func (e *Engine) encodeJobPayload(op string, s *Schema, docs []Doc, diff, withReceipt bool) ([]byte, error) {
+func (e *Engine) encodeJobPayload(op string, s *Schema, docs []Doc, diff, withReceipt bool) []byte {
 	if !e.jobs.Durable() {
-		return nil, nil
+		return nil
 	}
-	p := jobPayload{Op: op, Diff: diff, Receipt: withReceipt, Docs: make([]payloadDoc, len(docs))}
-	if s != nil {
-		// A schema compiled outside the registry has no ref to persist; the
-		// job still runs now, but a restart cannot rebuild it — recovery
-		// will fail the job with a clear error instead of guessing.
-		p.Schema = s.Ref
-		p.HasDefault = true
-	}
-	for i := range docs {
-		p.Docs[i] = payloadDoc{
-			ID:      docs[i].ID,
-			Ref:     docs[i].SchemaRef,
-			Content: docs[i].Content,
-			Bytes:   docs[i].Bytes,
-		}
-	}
-	return marshal(p)
+	// A schema compiled outside the registry has no ref to persist; the job
+	// still runs now, but a restart cannot rebuild it — recovery will fail
+	// the job with a clear error instead of guessing. The buffer is the
+	// store's to keep: it is not pooled.
+	return appendJobPayload(make([]byte, 0, jobPayloadSize(s, docs)), op, s, docs, diff, withReceipt)
 }
 
 // recoverRunner is the jobs.RunnerResolver the engine hands to
@@ -133,14 +122,14 @@ func (e *Engine) recoverRunner(sub jobs.Submission) (jobs.Runner, error) {
 // leaves and builds no fresh receipt; the root persisted with its
 // terminal record, when one exists, still serves.
 func (e *Engine) jobRunner(op string, s *Schema, docs []Doc, withDiff, withReceipt bool) (jobs.Runner, error) {
-	var chunk func(lo, hi int, leaves []receipt.Leaf) ([][]byte, error)
+	var chunk func(lo, hi int, leaves []receipt.Leaf) [][]byte
 	switch op {
 	case "check":
-		chunk = func(lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+		chunk = func(lo, hi int, leaves []receipt.Leaf) [][]byte {
 			return e.checkChunk(s, docs, lo, hi, leaves)
 		}
 	case "complete":
-		chunk = func(lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+		chunk = func(lo, hi int, leaves []receipt.Leaf) [][]byte {
 			return e.completeChunk(s, docs, withDiff, lo, hi, leaves)
 		}
 	default:
@@ -152,9 +141,9 @@ func (e *Engine) jobRunner(op string, s *Schema, docs []Doc, withDiff, withRecei
 	}
 	filled := 0
 	return func(j *jobs.Job, lo, hi int) ([][]byte, error) {
-		lines, err := chunk(lo, hi, leaves)
-		if err != nil || leaves == nil {
-			return lines, err
+		lines := chunk(lo, hi, leaves)
+		if leaves == nil {
+			return lines, nil
 		}
 		if filled += hi - lo; filled == len(leaves) {
 			e.attachReceipt(j, op, leaves)
@@ -166,41 +155,46 @@ func (e *Engine) jobRunner(op string, s *Schema, docs []Doc, withDiff, withRecei
 // checkChunk checks docs[lo:hi] and encodes one verdict line per
 // document. A non-nil leaves receives each document's committed leaf at
 // its batch index.
-func (e *Engine) checkChunk(s *Schema, docs []Doc, lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+func (e *Engine) checkChunk(s *Schema, docs []Doc, lo, hi int, leaves []receipt.Leaf) [][]byte {
 	results, _ := e.CheckBatch(s, docs[lo:hi])
-	lines := make([][]byte, len(results))
 	for i := range results {
 		results[i].Index = lo + i
-		b, err := marshal(toJSON(results[i]))
-		if err != nil {
-			return nil, err
-		}
-		lines[i] = b
 		if leaves != nil {
 			leaves[lo+i] = docLeaf(&docs[lo+i], s, checkVerdict(&results[i]), 0)
 		}
 	}
-	return lines, nil
+	return chunkLines(results, resultSize, appendResult)
+}
+
+// chunkLines writes one result line per result, through item, into one
+// buffer that size sizes, and returns the lines.
+func chunkLines[R any](results []R, size func(*R) int, item func([]byte, *R) []byte) [][]byte {
+	n := 0
+	for i := range results {
+		n += size(&results[i])
+	}
+	buf := make([]byte, 0, n)
+	lines := make([][]byte, len(results))
+	for i := range results {
+		start := len(buf)
+		buf = item(buf, &results[i])
+		lines[i] = buf[start:len(buf):len(buf)]
+	}
+	return lines
 }
 
 // completeChunk is the CompleteBatch twin of checkChunk: one /complete
 // result line per document, and leaves committing the completion verdict
 // and insertion count.
-func (e *Engine) completeChunk(s *Schema, docs []Doc, withDiff bool, lo, hi int, leaves []receipt.Leaf) ([][]byte, error) {
+func (e *Engine) completeChunk(s *Schema, docs []Doc, withDiff bool, lo, hi int, leaves []receipt.Leaf) [][]byte {
 	results, _ := e.CompleteBatch(s, docs[lo:hi], withDiff)
-	lines := make([][]byte, len(results))
 	for i := range results {
 		results[i].Index = lo + i
-		b, err := marshal(completeToJSON(results[i]))
-		if err != nil {
-			return nil, err
-		}
-		lines[i] = b
 		if leaves != nil {
 			leaves[lo+i] = docLeaf(&docs[lo+i], s, completeVerdict(&results[i]), int64(results[i].Inserted))
 		}
 	}
-	return lines, nil
+	return chunkLines(results, completionSize, appendCompletion)
 }
 
 // submit enqueues one async job of op over docs: the runner jobRunner
@@ -211,11 +205,7 @@ func (e *Engine) submit(op string, s *Schema, docs []Doc, withDiff, withReceipt 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := e.encodeJobPayload(op, s, docs, withDiff, withReceipt)
-	if err != nil {
-		return nil, err
-	}
-	return e.jobs.Submit(op, len(docs), payload, run)
+	return e.jobs.Submit(op, len(docs), e.encodeJobPayload(op, s, docs, withDiff, withReceipt), run)
 }
 
 // SubmitCheckBatch enqueues docs for asynchronous checking and returns

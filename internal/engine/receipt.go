@@ -247,9 +247,5 @@ func (e *Engine) attachReceipt(j *jobs.Job, kind string, leaves []receipt.Leaf) 
 	if err != nil || rec == nil {
 		return
 	}
-	data, err := marshal(rec)
-	if err != nil {
-		return
-	}
-	j.SetReceipt(rec.Root, data)
+	j.SetReceipt(rec.Root, appendReceipt(make([]byte, 0, receiptSize(rec)), rec))
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/diff"
 	"repro/internal/jobs"
 	"repro/internal/receipt"
 )
@@ -102,76 +100,6 @@ type completeRequest struct {
 	Diff      *bool `json:"diff,omitempty"`
 }
 
-// resultJSON is the wire form of Result.
-type resultJSON struct {
-	ID               string `json:"id,omitempty"`
-	Index            int    `json:"index"`
-	PotentiallyValid bool   `json:"potentiallyValid"`
-	Valid            bool   `json:"valid"`
-	Detail           string `json:"detail,omitempty"`
-	Error            string `json:"error,omitempty"`
-}
-
-func toJSON(r Result) resultJSON {
-	out := resultJSON{
-		ID:               r.ID,
-		Index:            r.Index,
-		PotentiallyValid: r.PotentiallyValid,
-		Valid:            r.Valid,
-		Detail:           r.Detail,
-	}
-	if r.Err != nil {
-		out.Error = r.Err.Error()
-	}
-	return out
-}
-
-type batchResponse struct {
-	Results []resultJSON `json:"results"`
-	Stats   BatchStats   `json:"stats"`
-	// Receipt carries the batch's verdict commitment when the request asked
-	// for one (?receipt=1).
-	Receipt *Receipt `json:"receipt,omitempty"`
-}
-
-// completeJSON is the wire form of CompleteResult.
-type completeJSON struct {
-	ID           string           `json:"id,omitempty"`
-	Index        int              `json:"index"`
-	Completed    bool             `json:"completed"`
-	AlreadyValid bool             `json:"alreadyValid,omitempty"`
-	Inserted     int              `json:"inserted"`
-	Insertions   []diff.Insertion `json:"insertions,omitempty"`
-	Output       string           `json:"output,omitempty"`
-	Detail       string           `json:"detail,omitempty"`
-	Error        string           `json:"error,omitempty"`
-}
-
-func completeToJSON(r CompleteResult) completeJSON {
-	out := completeJSON{
-		ID:           r.ID,
-		Index:        r.Index,
-		Completed:    r.Completed,
-		AlreadyValid: r.AlreadyValid,
-		Inserted:     r.Inserted,
-		Insertions:   r.Insertions,
-		Output:       r.Output,
-		Detail:       r.Detail,
-	}
-	if r.Err != nil {
-		out.Error = r.Err.Error()
-	}
-	return out
-}
-
-type completeResponse struct {
-	Results []completeJSON `json:"results"`
-	Stats   BatchStats     `json:"stats"`
-	// Receipt carries the batch's verdict commitment when the request asked
-	// for one (?receipt=1).
-	Receipt *Receipt `json:"receipt,omitempty"`
-}
-
 type statsResponse struct {
 	Registry RegistryStats `json:"registry"`
 	Engine   Stats         `json:"engine"`
@@ -246,7 +174,8 @@ func NewServer(e *Engine) http.Handler {
 		if !ok {
 			return
 		}
-		reply(w, toJSON(e.Check(s, Doc{Content: req.Document})))
+		res := e.Check(s, Doc{Content: req.Document})
+		writeResult(w, &res)
 	})
 	batch := func(w http.ResponseWriter, r *http.Request) {
 		var req batchRequest
@@ -284,11 +213,7 @@ func NewServer(e *Engine) http.Handler {
 		} else {
 			results, stats = e.CheckBatch(s, req.Documents)
 		}
-		out := batchResponse{Results: make([]resultJSON, len(results)), Stats: stats, Receipt: rec}
-		for i, res := range results {
-			out.Results[i] = toJSON(res)
-		}
-		reply(w, out)
+		writeReply(w, encodeReply(results, resultSize, appendResult, &stats, rec))
 	}
 	mux.HandleFunc("POST /batch", batch)
 	mux.HandleFunc("POST /check/batch", batch)
@@ -333,11 +258,7 @@ func NewServer(e *Engine) http.Handler {
 		} else {
 			results, stats = e.CompleteBatch(s, req.Documents, withDiff)
 		}
-		out := completeResponse{Results: make([]completeJSON, len(results)), Stats: stats, Receipt: rec}
-		for i, res := range results {
-			out.Results[i] = completeToJSON(res)
-		}
-		reply(w, out)
+		writeReply(w, encodeReply(results, completionSize, appendCompletion, &stats, rec))
 	}
 	mux.HandleFunc("POST /complete", complete)
 	mux.HandleFunc("POST /complete/batch", complete)
@@ -561,6 +482,17 @@ func reply(w http.ResponseWriter, body any) {
 	_ = newEncoder(w).Encode(body)
 }
 
+// writeReply writes a reply the wire's writer built, in one Write.
+func writeReply(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
+// writeResult writes one verdict, as /check and /check/raw answer.
+func writeResult(w http.ResponseWriter, res *Result) {
+	writeReply(w, append(appendResult(make([]byte, 0, resultSize(res)+1), res), '\n'))
+}
+
 func httpError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -571,18 +503,11 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 // > and & as themselves. HTML escaping guards JSON pasted into a <script>
 // element; everything this package writes is an API body, an NDJSON line
 // or a stored record, where escaping turned each < and > of a document
-// into six bytes. Every JSON the server writes goes through here.
+// into six bytes. The JSON the server writes that does not grow with its
+// documents goes through here; the rest goes through the wire's writer
+// (wire.go), which writes the same bytes.
 func newEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	return enc
-}
-
-// marshal is json.Marshal written through newEncoder.
-func marshal(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := newEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return bytes.TrimSuffix(b.Bytes(), []byte{'\n'}), nil
 }

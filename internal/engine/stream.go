@@ -45,11 +45,11 @@ type streamFail struct {
 	msg  string
 }
 
-// streamOut is the outcome of one streamed document: the wire line to emit
-// (rendered once the final stream index is known) plus its verdict
-// accounting.
+// streamOut is the outcome of one streamed document: line appends its
+// wire line to dst once the final stream index is known, and tally and
+// inserted are its verdict accounting.
 type streamOut struct {
-	line     func(index int) any
+	line     func(dst []byte, index int) []byte
 	tally    Result
 	inserted int
 }
@@ -75,7 +75,7 @@ type streamStats struct {
 func runCheck(e *Engine, s *Schema, d Doc) streamOut {
 	res := e.Check(s, d)
 	return streamOut{
-		line:  func(i int) any { res.Index = i; return toJSON(res) },
+		line:  func(dst []byte, i int) []byte { res.Index = i; return appendResult(dst, &res) },
 		tally: res,
 	}
 }
@@ -85,7 +85,7 @@ func runComplete(withDiff bool) streamRunner {
 	return func(e *Engine, s *Schema, d Doc) streamOut {
 		res := e.Complete(s, d, withDiff)
 		return streamOut{
-			line:     func(i int) any { res.Index = i; return completeToJSON(res) },
+			line:     func(dst []byte, i int) []byte { res.Index = i; return appendCompletion(dst, &res) },
 			tally:    res.tallyResult(),
 			inserted: res.Inserted,
 		}
@@ -180,8 +180,10 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 		if f, ok := w.(http.Flusher); ok {
 			flush = f.Flush
 		}
+		// emit writes one line: a document's line as the writer built it,
+		// or, with line nil, v through encoding/json.
 		enc := newEncoder(w)
-		emit := func(v any) {
+		emit := func(line []byte, v any) {
 			if discard {
 				return
 			}
@@ -189,7 +191,13 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				started = true
 			}
-			if err := enc.Encode(v); err != nil {
+			var err error
+			if line != nil {
+				_, err = w.Write(line)
+			} else {
+				err = enc.Encode(v)
+			}
+			if err != nil {
 				// Client is gone; keep draining so the reader never blocks
 				// on a full queue.
 				discard = true
@@ -198,6 +206,7 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 			}
 			flush()
 		}
+		var line []byte // reused for every document's line
 		for j := range queue {
 			if j.fail != nil {
 				failed = true
@@ -205,7 +214,7 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 					httpError(w, j.fail.code, j.fail.msg)
 					discard = true
 				} else {
-					emit(map[string]string{"error": j.fail.msg})
+					emit(nil, map[string]string{"error": j.fail.msg})
 				}
 				continue
 			}
@@ -215,7 +224,8 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 			out.tally.Index = index
 			stats.tally(&out.tally)
 			stats.Inserted += int64(out.inserted)
-			emit(out.line(index))
+			line = append(out.line(line[:0], index), '\n')
+			emit(line, nil)
 		}
 		if !failed {
 			stats.Elapsed = time.Since(start)
@@ -223,7 +233,7 @@ func serveDocStream(e *Engine, w http.ResponseWriter, r *http.Request, run strea
 				stats.DocsPerSec = float64(stats.Docs) / secs
 				stats.MBPerSec = float64(stats.Bytes) / (1 << 20) / secs
 			}
-			emit(streamStats{Stats: stats})
+			emit(nil, streamStats{Stats: stats})
 		}
 	}()
 
@@ -340,5 +350,5 @@ func serveCheckRaw(e *Engine, w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Time{})
 	res := e.CheckReader(s, r.URL.Query().Get("id"), body)
-	reply(w, toJSON(res))
+	writeResult(w, &res)
 }

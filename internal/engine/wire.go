@@ -2,7 +2,7 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"net/http"
 	"strconv"
+	"time"
 	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
@@ -17,10 +18,10 @@ import (
 
 // The request decoder. The bodies that carry documents — checkRequest,
 // batchRequest, completeRequest and streamLine — are decoded here by hand,
-// with no reflection. A string without escapes is read once; one with
-// escapes is read twice, once to find its end and once to unescape it.
-// encoding/json reads every byte twice (once to find the value, once to
-// decode it) and was a quarter of the server's CPU on durable batch jobs.
+// with no reflection. Every string is read once: one with escapes is
+// unescaped as the scan goes, from its first escape on. encoding/json
+// reads every byte twice (once to find the value, once to decode it) and
+// was a quarter of the server's CPU on durable batch jobs.
 // Everything else (the /verify body, recovered job payloads) stays on
 // encoding/json.
 //
@@ -185,7 +186,7 @@ func match(key []byte, names []string, allowed wireField) int {
 type wireDecoder struct {
 	data []byte
 	pos  int
-	key  []byte // scratch for keys with escapes
+	buf  []byte // scanString's scratch for strings with escapes
 }
 
 // request reads the top-level value: an object of the allowed fields, or
@@ -348,32 +349,23 @@ func (d *wireDecoder) str(dst *string, view bool) error {
 	if d.peek() != '"' {
 		return d.mismatch("a string field", "string")
 	}
-	raw, plain, err := d.scanString()
+	val, plain, err := d.scanString()
 	if err != nil {
 		return err
 	}
-	switch {
-	case plain && view:
-		*dst = unsafe.String(unsafe.SliceData(raw), len(raw))
-	case plain:
-		*dst = string(raw)
-	default:
-		// Fresh memory the string then owns: no second copy.
-		out := appendUnquoted(make([]byte, 0, len(raw)), raw)
-		*dst = unsafe.String(unsafe.SliceData(out), len(out))
+	if plain && view {
+		*dst = unsafe.String(unsafe.SliceData(val), len(val))
+	} else {
+		*dst = string(val)
 	}
 	return nil
 }
 
 // readKey reads an object key, unescaped. The result is valid until the
-// next key.
+// next string.
 func (d *wireDecoder) readKey() ([]byte, error) {
-	raw, plain, err := d.scanString()
-	if err != nil || plain {
-		return raw, err
-	}
-	d.key = appendUnquoted(d.key[:0], raw)
-	return d.key, nil
+	val, _, err := d.scanString()
+	return val, err
 }
 
 // boolean reads a bool field; null leaves it as it is.
@@ -434,132 +426,120 @@ func (d *wireDecoder) integer(dst *int) error {
 	return nil
 }
 
-// scanString reads the string at d.pos (a '"') and returns its raw
-// interior. plain reports that the interior has no escape and is valid
-// UTF-8, so it is the string's value as it stands.
-func (d *wireDecoder) scanString() (raw []byte, plain bool, err error) {
+// scanString reads the string at d.pos (a '"') in one pass. A string
+// with no escape and valid UTF-8 comes back as its interior, a view of
+// d.data, with plain set. Any other comes back unescaped into d.buf, valid
+// until the next call: from the first backslash or invalid byte on, the
+// scan copies and decodes as it goes, each escape decoded, and each
+// invalid UTF-8 byte and each unpaired surrogate replaced by U+FFFD, as
+// encoding/json does.
+func (d *wireDecoder) scanString() (val []byte, plain bool, err error) {
 	data := d.data
 	start := d.pos + 1
-	plain = true
-	for i := start; ; {
+	i := start
+	for {
 		i = plainEnd(data, i)
 		if i == len(data) {
 			return nil, false, d.eof()
 		}
+		c := data[i]
+		if c == '"' {
+			d.pos = i + 1
+			return data[start:i], true, nil
+		}
+		if c == '\\' {
+			break
+		}
+		if c < ' ' {
+			d.pos = i
+			return nil, false, d.syntax("in string literal")
+		}
+		r, size := utf8.DecodeRune(data[i:])
+		if r == utf8.RuneError && size == 1 {
+			break
+		}
+		i += size
+	}
+	buf := append(d.buf[:0], data[start:i]...)
+	for i < len(data) {
 		switch c := data[i]; {
 		case c == '"':
 			d.pos = i + 1
-			return data[start:i], plain, nil
+			d.buf = buf
+			return buf, false, nil
 		case c == '\\':
-			plain = false
 			if i+1 == len(data) {
 				return nil, false, d.eof()
 			}
-			switch data[i+1] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i += 2
+			switch e := data[i+1]; e {
+			case '"', '\\', '/':
+				buf = append(buf, e)
+			case 'b':
+				buf = append(buf, '\b')
+			case 'f':
+				buf = append(buf, '\f')
+			case 'n':
+				buf = append(buf, '\n')
+			case 'r':
+				buf = append(buf, '\r')
+			case 't':
+				buf = append(buf, '\t')
 			case 'u':
-				for k := i + 2; k < i+6; k++ {
-					if k == len(data) {
-						return nil, false, d.eof()
-					}
-					if hexVal(data[k]) < 0 {
-						d.pos = k
-						return nil, false, d.syntax("in \\u hexadecimal character escape")
-					}
+				r, ok := hex4(data, i+2)
+				if !ok {
+					return nil, false, d.badHex(i + 2)
 				}
 				i += 6
+				if utf16.IsSurrogate(r) {
+					// A pair takes the next escape too; anything else
+					// leaves it to the next step.
+					var lo rune
+					ok = i+1 < len(data) && data[i] == '\\' && data[i+1] == 'u'
+					if ok {
+						lo, ok = hex4(data, i+2)
+					}
+					if r = utf16.DecodeRune(r, lo); ok && r != utf8.RuneError {
+						i += 6
+					}
+				}
+				buf = utf8.AppendRune(buf, r)
+				continue
 			default:
 				d.pos = i + 1
 				return nil, false, d.syntax("in string escape code")
 			}
+			i += 2
 		case c < ' ':
 			d.pos = i
 			return nil, false, d.syntax("in string literal")
-		default: // not ASCII
-			if !plain {
-				i++
-				break
-			}
-			r, size := utf8.DecodeRune(data[i:])
-			if r == utf8.RuneError && size == 1 {
-				plain = false
-			}
-			i += size
-		}
-	}
-}
-
-// appendUnquoted appends the value of a string interior scanString
-// accepted: escapes decoded, and each invalid UTF-8 byte and each unpaired
-// surrogate replaced by U+FFFD, as encoding/json does.
-func appendUnquoted(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\':
-			switch raw[i+1] {
-			case 'b':
-				dst = append(dst, '\b')
-			case 'f':
-				dst = append(dst, '\f')
-			case 'n':
-				dst = append(dst, '\n')
-			case 'r':
-				dst = append(dst, '\r')
-			case 't':
-				dst = append(dst, '\t')
-			case 'u':
-				r := hex4(raw[i+2:])
-				i += 6
-				if r < utf8.RuneSelf {
-					dst = append(dst, byte(r))
-					continue
-				}
-				if utf16.IsSurrogate(r) {
-					if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
-						if pair := utf16.DecodeRune(r, hex4(raw[i+2:])); pair != utf8.RuneError {
-							dst = utf8.AppendRune(dst, pair)
-							i += 6
-							continue
-						}
-					}
-					r = utf8.RuneError
-				}
-				dst = utf8.AppendRune(dst, r)
-				continue
-			default: // '"', '\\', '/'
-				dst = append(dst, raw[i+1])
-			}
-			i += 2
 		case c < utf8.RuneSelf:
-			j := i + 1
-			for j < len(raw) && raw[j] != '\\' && raw[j] < utf8.RuneSelf {
-				j++
-			}
-			dst = append(dst, raw[i:j]...)
+			j := plainEnd(data, i+1)
+			buf = append(buf, data[i:j]...)
 			i = j
 		default:
-			r, size := utf8.DecodeRune(raw[i:])
+			r, size := utf8.DecodeRune(data[i:])
 			if r == utf8.RuneError && size == 1 {
-				dst = utf8.AppendRune(dst, utf8.RuneError)
+				buf = utf8.AppendRune(buf, utf8.RuneError)
 			} else {
-				dst = append(dst, raw[i:i+size]...)
+				buf = append(buf, data[i:i+size]...)
 			}
 			i += size
 		}
 	}
-	return dst
+	return nil, false, d.eof()
 }
 
 // plainEnd returns the index of the first byte at or after i that a string
 // scan must look at — '"', '\\', a control byte or a non-ASCII byte — or
 // len(b). It tests eight bytes at a time: in each test the lowest flagged
-// byte is exact, since a borrow only runs upward from a true match.
-func plainEnd(b []byte, i int) int {
+// byte is exact, since a borrow only runs upward from a true match. The
+// decoder reads JSON strings with it and the writer escapes them with it.
+func plainEnd[S string | []byte](b S, i int) int {
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
 	for ; i+8 <= len(b); i += 8 {
-		x := binary.LittleEndian.Uint64(b[i:])
+		w := b[i : i+8]
+		x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+			uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
 		q := x ^ (ones * '"')
 		s := x ^ (ones * '\\')
 		t := (x-ones*' ')&^x | (q-ones)&^q | (s-ones)&^s | x
@@ -575,21 +555,43 @@ func plainEnd(b []byte, i int) int {
 	return i
 }
 
-func hexVal(c byte) int {
-	switch {
-	case '0' <= c && c <= '9':
-		return int(c - '0')
-	case 'a' <= c && c <= 'f':
-		return int(c-'a') + 10
-	case 'A' <= c && c <= 'F':
-		return int(c-'A') + 10
+// hexDigit holds each byte's value as a hex digit, or -1.
+var hexDigit = func() (t [256]int8) {
+	for c := range t {
+		t[c] = -1
 	}
-	return -1
+	for c := '0'; c <= '9'; c++ {
+		t[c] = int8(c - '0')
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] = int8(c-'a') + 10
+		t[c-'a'+'A'] = int8(c-'a') + 10
+	}
+	return t
+}()
+
+// hex4 reads the four hex digits of a \u escape at data[i:]; ok is
+// false when one is missing or not a hex digit.
+func hex4(data []byte, i int) (r rune, ok bool) {
+	if i+4 > len(data) {
+		return 0, false
+	}
+	a, b, c, e := hexDigit[data[i]], hexDigit[data[i+1]], hexDigit[data[i+2]], hexDigit[data[i+3]]
+	if a|b|c|e < 0 {
+		return 0, false
+	}
+	return rune(a)<<12 | rune(b)<<8 | rune(c)<<4 | rune(e), true
 }
 
-// hex4 reads four hex digits scanString has checked.
-func hex4(b []byte) rune {
-	return rune(hexVal(b[0])<<12 | hexVal(b[1])<<8 | hexVal(b[2])<<4 | hexVal(b[3]))
+// badHex reports the \u escape whose digits start at data[i]: the end
+// of the data, or the first byte that is not a hex digit.
+func (d *wireDecoder) badHex(i int) error {
+	for d.pos = i; d.pos < len(d.data) && d.pos < i+4; d.pos++ {
+		if hexDigit[d.data[d.pos]] < 0 {
+			return d.syntax("in \\u hexadecimal character escape")
+		}
+	}
+	return d.eof()
 }
 
 func (d *wireDecoder) ws() {
@@ -638,4 +640,335 @@ func (d *wireDecoder) mismatch(what, want string) error {
 		return d.eof()
 	}
 	return fmt.Errorf("json: %s must be a JSON %s (offset %d)", what, want, d.pos)
+}
+
+// The reply writer, the encoder half of the wire. Every JSON value the
+// server writes whose size grows with its documents is appended here by
+// hand, with no reflection, into one buffer sized once from those
+// documents (an escape past the allowance grows it):
+//   - verdicts (appendResult) and completions (appendCompletion), as
+//     /check, /check/raw, the NDJSON streams and job result lines carry
+//     them;
+//   - the /batch and /complete replies (encodeReply), receipt included;
+//   - receipts (appendReceipt), in replies and stored with async jobs;
+//   - an async job's write-ahead payload (appendJobPayload).
+//
+// The bytes are exactly those newEncoder writes for the reflection structs
+// the routes encoded before: compact, omitempty as their tags say, strings
+// escaped by appendString. Those structs are the writer's test oracle
+// (wire_encode_test.go), and FuzzWireEncode holds the two equal. A reply
+// and an NDJSON line end in the newline Encode adds; a stored result line,
+// receipt or payload does not. What else the server writes — error bodies,
+// the 202, /stats, /jobs, /schemas, the /verify reply, the stats in a
+// reply and the streams' stats line — is small or rare and stays on
+// encoding/json, as does the decoding of a payload at recovery.
+
+// Allowances for the keys, numbers and punctuation of one record beside
+// its strings, from which the writer sizes its buffers; errAllowance
+// stands for an error's text, which the sizing does not render.
+const (
+	resultAllowance    = 96
+	insertionAllowance = 48
+	proofAllowance     = 96
+	payloadAllowance   = 32
+	errAllowance       = 128
+	replyAllowance     = 512
+)
+
+// appendString appends s as a JSON string, escaped exactly as
+// encoding/json escapes it with SetEscapeHTML(false): \" and \\, \b \f \n
+// \r \t, \u00XX for the other bytes below 0x20, \ufffd for each byte of
+// invalid UTF-8, and \u2028 and \u2029; <, > and & stay raw. Runs that
+// need no escape are skipped by plainEnd's word test.
+func appendString[S string | []byte](dst []byte, s S) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := plainEnd(s, 0); i < len(s); i = plainEnd(s, i) {
+		if c := s[i]; c < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// appendField appends key, which carries its own comma and colon, and the
+// string s.
+func appendField(dst []byte, key, s string) []byte {
+	return appendString(append(dst, key...), s)
+}
+
+// appendOmit is appendField for an omitempty string: nothing when s is
+// empty.
+func appendOmit(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return appendField(dst, key, s)
+}
+
+// appendInt appends key and the integer n.
+func appendInt(dst []byte, key string, n int64) []byte {
+	return strconv.AppendInt(append(dst, key...), n, 10)
+}
+
+// appendBool appends key and b.
+func appendBool(dst []byte, key string, b bool) []byte {
+	return strconv.AppendBool(append(dst, key...), b)
+}
+
+// appendErr appends an omitempty "error" field holding err's text.
+func appendErr(dst []byte, err error) []byte {
+	if err == nil {
+		return dst
+	}
+	return appendOmit(dst, `,"error":`, err.Error())
+}
+
+// appendHead opens a verdict or a completion: its id when set, then its
+// index.
+func appendHead(dst []byte, id string, index int) []byte {
+	dst = append(dst, '{')
+	if id != "" {
+		dst = append(appendField(dst, `"id":`, id), ',')
+	}
+	return appendInt(dst, `"index":`, int64(index))
+}
+
+// appendResult appends r as /check answers it.
+func appendResult(dst []byte, r *Result) []byte {
+	dst = appendHead(dst, r.ID, r.Index)
+	dst = appendBool(dst, `,"potentiallyValid":`, r.PotentiallyValid)
+	dst = appendBool(dst, `,"valid":`, r.Valid)
+	dst = appendOmit(dst, `,"detail":`, r.Detail)
+	dst = appendErr(dst, r.Err)
+	return append(dst, '}')
+}
+
+// resultSize is the room appendResult needs for r, escapes aside.
+func resultSize(r *Result) int {
+	n := resultAllowance + len(r.ID) + len(r.Detail)
+	if r.Err != nil {
+		n += errAllowance
+	}
+	return n
+}
+
+// appendCompletion appends r as /complete answers it, with its insertion
+// records.
+func appendCompletion(dst []byte, r *CompleteResult) []byte {
+	dst = appendHead(dst, r.ID, r.Index)
+	dst = appendBool(dst, `,"completed":`, r.Completed)
+	if r.AlreadyValid {
+		dst = append(dst, `,"alreadyValid":true`...)
+	}
+	dst = appendInt(dst, `,"inserted":`, int64(r.Inserted))
+	if len(r.Insertions) > 0 {
+		dst = append(dst, `,"insertions":[`...)
+		for i := range r.Insertions {
+			in := &r.Insertions[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendField(dst, `{"path":`, in.Path)
+			dst = appendInt(dst, `,"index":`, int64(in.Index))
+			dst = appendField(dst, `,"name":`, in.Name)
+			if in.Synthesized {
+				dst = append(dst, `,"synthesized":true`...)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendOmit(dst, `,"output":`, r.Output)
+	dst = appendOmit(dst, `,"detail":`, r.Detail)
+	dst = appendErr(dst, r.Err)
+	return append(dst, '}')
+}
+
+// completionSize is the room appendCompletion needs for r, escapes aside.
+func completionSize(r *CompleteResult) int {
+	n := resultAllowance + len(r.ID) + len(r.Output) + len(r.Detail)
+	if r.Err != nil {
+		n += errAllowance
+	}
+	for i := range r.Insertions {
+		n += insertionAllowance + len(r.Insertions[i].Path) + len(r.Insertions[i].Name)
+	}
+	return n
+}
+
+// appendReceipt appends rec as /batch?receipt=1 carries it and an async
+// job stores it. The time is written as Time.MarshalJSON writes it for
+// every time it accepts: RFC 3339 with nanoseconds, years 0 to 9999.
+func appendReceipt(dst []byte, rec *Receipt) []byte {
+	dst = appendField(dst, `{"root":`, rec.Root)
+	dst = appendInt(dst, `,"count":`, int64(rec.Count))
+	dst = appendField(dst, `,"kind":`, rec.Kind)
+	if rec.Anchored {
+		dst = append(dst, `,"anchored":true`...)
+	}
+	if rec.Seq != 0 {
+		dst = appendInt(dst, `,"seq":`, rec.Seq)
+	}
+	dst = rec.Time.AppendFormat(append(dst, `,"time":"`...), time.RFC3339Nano)
+	dst = append(dst, '"')
+	if len(rec.Proofs) > 0 {
+		dst = append(dst, `,"proofs":[`...)
+		for i := range rec.Proofs {
+			p := &rec.Proofs[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendInt(dst, `{"index":`, int64(p.Index))
+			dst = appendField(dst, `,"leaf":{"docId":`, p.Leaf.DocID)
+			dst = appendOmit(dst, `,"schemaRef":`, p.Leaf.SchemaRef)
+			dst = appendField(dst, `,"verdict":`, p.Leaf.Verdict)
+			if p.Leaf.Insertions != 0 {
+				dst = appendInt(dst, `,"insertions":`, p.Leaf.Insertions)
+			}
+			dst = appendField(dst, `,"contentDigest":`, p.Leaf.ContentDigest)
+			dst = appendField(dst, `},"proof":`, p.Proof)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// receiptSize is the room appendReceipt needs for rec, escapes aside.
+func receiptSize(rec *Receipt) int {
+	n := replyAllowance + len(rec.Root) + len(rec.Kind)
+	for i := range rec.Proofs {
+		l := &rec.Proofs[i].Leaf
+		n += proofAllowance + len(l.DocID) + len(l.SchemaRef) + len(l.Verdict) +
+			len(l.ContentDigest) + len(rec.Proofs[i].Proof)
+	}
+	return n
+}
+
+// encodeReply writes a /batch or /complete reply and the newline that
+// ends it into one buffer that size sizes: each result through item, the
+// batch stats (one small struct, through encoding/json) and, when rec is
+// set, the receipt.
+func encodeReply[R any](results []R, size func(*R) int, item func([]byte, *R) []byte, stats *BatchStats, rec *Receipt) []byte {
+	n := replyAllowance
+	for i := range results {
+		n += size(&results[i])
+	}
+	if rec != nil {
+		n += receiptSize(rec)
+	}
+	dst := append(make([]byte, 0, n), `{"results":[`...)
+	for i := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = item(dst, &results[i])
+	}
+	st, _ := json.Marshal(stats) // no strings to escape, finite rates
+	dst = append(append(dst, `],"stats":`...), st...)
+	if rec != nil {
+		dst = appendReceipt(append(dst, `,"receipt":`...), rec)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendJobPayload appends the write-ahead payload of an async job of op
+// over docs, as recoverRunner decodes it into a jobPayload: s's registry
+// ref as the default schema, and each document's id, schema ref, and
+// content or bytes (standard base64).
+func appendJobPayload(dst []byte, op string, s *Schema, docs []Doc, withDiff, withReceipt bool) []byte {
+	dst = appendField(dst, `{"op":`, op)
+	if s != nil {
+		dst = appendOmit(dst, `,"schema":`, s.Ref)
+		dst = append(dst, `,"hasDefault":true`...)
+	}
+	if withDiff {
+		dst = append(dst, `,"diff":true`...)
+	}
+	if withReceipt {
+		dst = append(dst, `,"receipt":true`...)
+	}
+	dst = append(dst, `,"docs":[`...)
+	for i := range docs {
+		d := &docs[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '{')
+		open := len(dst)
+		if d.ID != "" {
+			dst = appendString(appendKey(dst, open, `"id":`), d.ID)
+		}
+		if d.SchemaRef != "" {
+			dst = appendString(appendKey(dst, open, `"ref":`), d.SchemaRef)
+		}
+		if d.Content != "" {
+			dst = appendString(appendKey(dst, open, `"c":`), d.Content)
+		}
+		if len(d.Bytes) > 0 {
+			dst = base64.StdEncoding.AppendEncode(appendKey(dst, open, `"b":"`), d.Bytes)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
+}
+
+// appendKey appends key inside an object whose fields are all omitempty:
+// after a comma, unless it is the first field since open.
+func appendKey(dst []byte, open int, key string) []byte {
+	if len(dst) > open {
+		dst = append(dst, ',')
+	}
+	return append(dst, key...)
+}
+
+// jobPayloadSize is the room appendJobPayload needs, escapes aside.
+func jobPayloadSize(s *Schema, docs []Doc) int {
+	n := replyAllowance
+	if s != nil {
+		n += len(s.Ref)
+	}
+	for i := range docs {
+		d := &docs[i]
+		n += payloadAllowance + len(d.ID) + len(d.SchemaRef) + len(d.Content) +
+			base64.StdEncoding.EncodedLen(len(d.Bytes))
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -223,6 +224,25 @@ var wireSeeds = []string{
 	`{"content": "0123456\"7", "id": "0123456789abcde\\n"}`,
 	`{"content": "01234567", "schema": "012345678", "root": "0123456789abcdef\u00e9"}`,
 	"{\"content\": \"0123456\xe9\", \"id\": \"01234567\xc3\xa9\"}",
+	escapeAtEveryOffset(),
+}
+
+// escapeAtEveryOffset is a /batch body whose k-th document holds an
+// escape of every kind at offset k of an 8-byte word, after runs that
+// fill a word and runs that do not.
+func escapeAtEveryOffset() string {
+	var b strings.Builder
+	b.WriteString(`{"documents":[`)
+	for k := 0; k < 8; k++ {
+		if k > 0 {
+			b.WriteByte(',')
+		}
+		p := "01234567"[:k]
+		fmt.Fprintf(&b, "{\"id\":\"%s\\u003c\",\"content\":\"%s\\n%s\\u00e9%s\\ud83d\\ude00%s\\\"%s\\\\0123456789\\u0026%s\\ud83d%s\\t\xff%s\"}",
+			p, p, p, p, p, p, p, p, p)
+	}
+	b.WriteString(`]}`)
+	return b.String()
 }
 
 func FuzzWireDecode(f *testing.F) {

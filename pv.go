@@ -60,7 +60,9 @@ import (
 //     considered when the DTD is PV-strong recursive (Section 4.3.1 of the
 //     paper). Zero selects the default (16).
 //   - IgnoreWhitespaceText makes whitespace-only text nodes invisible to
-//     the checker, which suits pretty-printed documents. Document-centric
+//     the checker, which suits pretty-printed documents. Inside an EMPTY
+//     element whitespace stays visible: EMPTY admits no character data, so
+//     no insertion can make such a document valid. Document-centric
 //     editing normally wants false.
 //   - AllowAnyRoot accepts any declared element as document root.
 //   - DisableFastPath skips the content-model DFA tables, so every check

@@ -212,3 +212,22 @@ func TestAllFixturesCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestWhitespaceInEmptyIsNotPV: IgnoreWhitespaceText hides whitespace in
+// element content but not inside an EMPTY element, where no insertion
+// makes it valid; completion then reports the violation.
+func TestWhitespaceInEmptyIsNotPV(t *testing.T) {
+	schema := MustCompileDTD(Figure1DTD, "r", Options{IgnoreWhitespaceText: true})
+	doc := `<r><a><c>x</c><d><e> </e></d></a></r>`
+	res, err := schema.CheckString(doc)
+	if err != nil || res.PotentiallyValid || res.Valid || !strings.Contains(res.Detail, "<e>") {
+		t.Fatalf("CheckString(%s) = %+v, %v; want not potentially valid at <e>", doc, res, err)
+	}
+	if _, _, err := schema.CompleteBytes([]byte(doc)); err == nil || !strings.Contains(err.Error(), "not potentially valid") {
+		t.Errorf("CompleteBytes(%s): %v, want a not-potentially-valid error", doc, err)
+	}
+	spaced := `<r><a><c>x</c><d> <e></e> </d></a></r>`
+	if res, err := schema.CheckString(spaced); err != nil || !res.PotentiallyValid {
+		t.Errorf("CheckString(%s) = %+v, %v; want whitespace in element content hidden", spaced, res, err)
+	}
+}
